@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from . import __version__
 from .field import Context
@@ -63,7 +63,6 @@ from .rankone import (
     weighted_sum,
 )
 from .weights import (
-    HTWeightTable,
     Weight,
     blocks,
     bmu_table,
@@ -210,11 +209,6 @@ def _weight_doc(w: Weight) -> dict:
 def cmd_shift(args: argparse.Namespace) -> int:
     w = Weight(args.p, args.k, args.l or ())
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k, "l": w.l}
-    if len(w.k) != args.f:
-        doc["valid"] = False
-        doc["reason"] = f"expected {args.f} weight entries, got {len(w.k)}"
-        _write_out(dumps(doc), args.out)
-        return EXIT_USAGE
     try:
         validate_irregular(w)
     except ValueError as err:
@@ -605,6 +599,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "enumerate": cmd_enumerate,
     }
     try:
+        k = getattr(args, "k", None)
+        if k is not None and len(k) != args.f:
+            raise ValueError(f"expected {args.f} weight entries, got {len(k)}")
         return handlers[args.subcommand](args)
     except DichotomyError as err:
         _write_out(dumps({"error": "dichotomy", "reason": str(err)}), getattr(args, "out", None))

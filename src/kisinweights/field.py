@@ -1,11 +1,14 @@
 """Exact arithmetic ground layer: finite fields F_{p^d} and the ring F[u].
 
-Everything here is deterministic and exact.  Field elements are coefficient
-vectors over Z/p reduced modulo a canonical irreducible polynomial (the
-lexicographically smallest monic irreducible of the requested degree, with
-coefficient tuples compared from the constant term upward).  Polynomials in
-``u`` carry a Frobenius-semilinear substitution ``u -> u^p`` used throughout
-the higher layers.
+Everything here is deterministic and exact.  F_{p^d} is Z/p[x] modulo a
+canonical irreducible polynomial (the lexicographically smallest monic
+irreducible of the requested degree, with coefficient tuples compared from
+the constant term upward).  An element is the int n in [0, p^d) whose base-p
+digits, lowest first, are its coefficients.  ``make_field`` builds log,
+antilog and Zech tables once per field, after which every field operation
+is a table lookup.  Polynomials in ``u`` store their nonzero terms only and
+carry a Frobenius-semilinear substitution ``u -> u^p`` used throughout the
+higher layers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 
 def is_prime(n: int) -> bool:
@@ -103,10 +106,10 @@ def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _zp_powmod_x(e: int, m: list[int], p: int) -> list[int]:
-    """x^e modulo m over Z/p."""
+def _zp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e modulo m over Z/p."""
     result = [1]
-    base = _zp_divmod([0, 1], m, p)[1]
+    base = _zp_divmod(a, m, p)[1]
     while e:
         if e & 1:
             result = _zp_mulmod(result, base, m, p)
@@ -121,12 +124,12 @@ def _zp_is_irreducible(m: list[int], p: int) -> bool:
     if d == 1:
         return True
     # x^(p^d) == x mod m
-    xq = _zp_powmod_x(p**d, m, p)
+    xq = _zp_powmod([0, 1], p**d, m, p)
     x = _zp_divmod([0, 1], m, p)[1]
     if xq != x:
         return False
     for q in {q for q in range(2, d + 1) if d % q == 0 and is_prime(q)}:
-        xe = _zp_powmod_x(p ** (d // q), m, p)
+        xe = _zp_powmod([0, 1], p ** (d // q), m, p)
         diff = [(a - b) % p for a, b in _pad_pair(xe, x)]
         _zp_trim(diff)
         if len(_zp_gcd(list(m), diff, p)) - 1 != 0:
@@ -159,8 +162,31 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _generator_powers(p: int, d: int, modulus: tuple[int, ...]) -> list[int]:
+    """[g^0, g^1, ..., g^(p^d - 2)] as ints, for the smallest generator g of the unit group."""
+    q, m = p**d, list(modulus)
+    # g generates iff g^((q-1)/r) != 1 for every prime r dividing q - 1
+    cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    for g in range(1, q):
+        g_digits = [g // p**i % p for i in range(d)]
+        if all(_zp_powmod(g_digits, e, m, p) != [1] for e in cofactors):
+            break
+    powers, x = [], [1]
+    for _ in range(q - 1):
+        powers.append(sum(c * p**i for i, c in enumerate(x)))
+        x = _zp_mulmod(x, g_digits, m, p)
+    return powers
+
+
 class FiniteField:
-    """The field with p^d elements, with a canonical defining modulus."""
+    """The field with p^d elements, with a canonical defining modulus.
+
+    Elements are interned: ``elem(n)`` always returns the same object.  With
+    g the smallest generator of the unit group, ``_exp[k]`` is g^k (listed
+    twice over, so a sum of two logs needs no reduction), ``_log[n]`` is the
+    log of the element n, and ``_zech[k]`` is log(1 + g^k), None where
+    1 + g^k = 0.
+    """
 
     def __init__(self, p: int, d: int, _token: object = None):
         if _token is not _FIELD_TOKEN:
@@ -169,35 +195,38 @@ class FiniteField:
         self.d = d
         self.modulus: tuple[int, ...] = smallest_irreducible(p, d)
         self.order = p**d
-        self.zero = FieldElem(self, (0,) * d)
-        self.one = FieldElem(self, (1,) + (0,) * (d - 1))
+        self._elems = tuple(FieldElem(self, n) for n in range(self.order))
+        self.zero, self.one = self._elems[0], self._elems[1]
+        powers = _generator_powers(p, d, self.modulus)
+        self._unit_order = m = len(powers)
+        self._exp = tuple(self._elems[n] for n in powers) * 2
+        self._log: list[Optional[int]] = [None] * self.order
+        for k, n in enumerate(powers):
+            self._log[n] = k
+        # 1 + g^k: add one to the constant digit
+        self._zech = [self._log[n - n % p + (n + 1) % p] for n in powers]
+        minus_one = self._log[p - 1]
+        logs = self._log[1:]
+        self._neg = (self.zero,) + tuple(self._exp[k + minus_one] for k in logs)
+        self._frob = (self.zero,) + tuple(self._exp[k * p % m] for k in logs)
 
     def elem(self, value: Union[int, Sequence[int]]) -> "FieldElem":
         """Build an element from base-p digits of an int, or a coefficient vector."""
         if isinstance(value, int):
-            digits = []
-            v = abs(value)
-            for _ in range(self.d):
-                digits.append(v % self.p)
-                v //= self.p
-            if v:
+            if abs(value) >= self.order:
                 raise ValueError(f"{value} out of range for GF({self.p}^{self.d})")
-            el = FieldElem(self, tuple(digits))
+            el = self._elems[abs(value)]
             return -el if value < 0 else el
-        coeffs = tuple(c % self.p for c in value)
+        coeffs = [c % self.p for c in value]
         if len(coeffs) != self.d:
             raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
+        return self._elems[sum(c * self.p**i for i, c in enumerate(coeffs))]
 
     def elements(self) -> Iterator["FieldElem"]:
-        for n in range(self.order):
-            yield self.elem(n)
+        return iter(self._elems)
 
     def units(self) -> Iterator["FieldElem"]:
-        for n in range(1, self.order):
-            el = self.elem(n)
-            if el != self.zero:
-                yield el
+        return iter(self._elems[1:])
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.d})"
@@ -223,13 +252,19 @@ def make_field(p: int, d: int) -> FiniteField:
 
 
 class FieldElem:
-    """Immutable element of a FiniteField, stored as a length-d coefficient tuple."""
+    """Immutable element of a FiniteField: the int n in [0, p^d) whose base-p digits are its coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "n")
 
-    def __init__(self, field: FiniteField, coeffs: tuple[int, ...]):
+    def __init__(self, field: FiniteField, n: int):
         self.field = field
-        self.coeffs = coeffs
+        self.n = n
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients over Z/p, constant term first."""
+        p = self.field.p
+        return tuple(self.n // p**i % p for i in range(self.field.d))
 
     def _check(self, other: "FieldElem") -> None:
         if self.field is not other.field:
@@ -237,73 +272,64 @@ class FieldElem:
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        p = self.field.p
-        return FieldElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        if not self.n:
+            return other
+        if not other.n:
+            return self
+        F = self.field
+        la = F._log[self.n]
+        # g^la + g^lb = g^la (1 + g^(lb - la)); a negative index wraps mod p^d - 1
+        z = F._zech[F._log[other.n] - la]
+        return F.zero if z is None else F._exp[la + z]
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        p = self.field.p
-        return FieldElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "FieldElem":
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return self.field._neg[self.n]
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        p = self.field.p
-        prod = [0] * (2 * self.field.d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        rem = _zp_divmod(prod, list(self.field.modulus), p)[1]
-        rem += [0] * (self.field.d - len(rem))
-        return FieldElem(self.field, tuple(rem))
+        F = self.field
+        if not self.n or not other.n:
+            return F.zero
+        return F._exp[F._log[self.n] + F._log[other.n]]
 
     def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.order - 2)
+        return self**-1
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        F = self.field
+        if not self.n:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self if e else F.one
+        return F._exp[F._log[self.n] * e % F._unit_order]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.n
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+        return self is other or (
+            isinstance(other, FieldElem) and self.n == other.n and self.field == other.field
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.d, self.coeffs))
+        return hash((self.field.p, self.field.d, self.n))
 
     def __repr__(self) -> str:
         return f"FieldElem{self.coeffs}@{self.field!r}"
 
     def as_int(self) -> int:
-        return sum(c * self.field.p**i for i, c in enumerate(self.coeffs))
+        return self.n
 
 
 def frobenius(x: FieldElem) -> FieldElem:
     """The arithmetic Frobenius x -> x^p."""
-    return x**x.field.p
+    return x.field._frob[x.n]
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +338,14 @@ def frobenius(x: FieldElem) -> FieldElem:
 
 
 class UPoly:
-    """Polynomial in u with FieldElem coefficients, stored low-to-high, normalized."""
+    """Polynomial in u with FieldElem coefficients, stored as {exponent: nonzero coefficient}."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "terms")
 
-    def __init__(self, field: FiniteField, coeffs: Sequence[FieldElem] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
+    def __init__(self, field: FiniteField, terms: Optional[dict[int, FieldElem]] = None):
+        """``terms`` maps exponents to nonzero coefficients; it is kept, not copied."""
         self.field = field
-        self.coeffs: tuple[FieldElem, ...] = tuple(cs)
+        self.terms: dict[int, FieldElem] = {} if terms is None else terms
 
     @classmethod
     def zero(cls, field: FiniteField) -> "UPoly":
@@ -329,116 +353,89 @@ class UPoly:
 
     @classmethod
     def constant(cls, c: FieldElem) -> "UPoly":
-        return cls(c.field, (c,))
+        return cls(c.field, {0: c} if c.n else {})
 
     @classmethod
     def monomial(cls, c: FieldElem, n: int) -> "UPoly":
         """c * u^n."""
         if n < 0:
             raise ValueError("monomial exponent must be >= 0")
-        if c.is_zero():
-            return cls(c.field)
-        return cls(c.field, (c.field.zero,) * n + (c,))
+        return cls(c.field, {n: c} if c.n else {})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
     def valuation(self) -> Union[int, float]:
         """u-adic valuation; math.inf for the zero polynomial."""
-        if not self.coeffs:
-            return math.inf
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return i
-        raise AssertionError("normalized polynomial with all-zero coefficients")
+        return min(self.terms, default=math.inf)
 
     def coefficient(self, n: int) -> FieldElem:
-        if 0 <= n < len(self.coeffs):
-            return self.coeffs[n]
-        return self.field.zero
+        return self.terms.get(n, self.field.zero)
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            self.field,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
+        out = dict(self.terms)
+        for n, c in other.terms.items():
+            out[n] = out[n] + c if n in out else c
+        return UPoly(self.field, {n: c for n, c in out.items() if c.n})
 
     def __sub__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            self.field,
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)],
-        )
+        return self + -other
 
     def __neg__(self) -> "UPoly":
-        return UPoly(self.field, [-c for c in self.coeffs])
+        return UPoly(self.field, {n: -c for n, c in self.terms.items()})
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        if self.is_zero() or other.is_zero():
-            return UPoly(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UPoly(self.field, out)
+        out: dict[int, FieldElem] = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                k, c = i + j, a * b
+                out[k] = out[k] + c if k in out else c
+        return UPoly(self.field, {n: c for n, c in out.items() if c.n})
 
     def scale(self, c: FieldElem) -> "UPoly":
-        return UPoly(self.field, [c * a for a in self.coeffs])
+        if c is self.field.one:
+            return self
+        return UPoly(self.field, {n: c * a for n, a in self.terms.items()} if c.n else {})
 
     def shift(self, n: int) -> "UPoly":
         """Multiply by u^n (n >= 0)."""
         if n < 0:
             raise ValueError("shift must be >= 0")
-        if self.is_zero():
+        if not n:
             return self
-        return UPoly(self.field, (self.field.zero,) * n + self.coeffs)
+        return UPoly(self.field, {e + n: c for e, c in self.terms.items()})
 
     def divides_exactly(self, n: int) -> bool:
         """Whether u^n divides this polynomial."""
-        return self.is_zero() or self.valuation() >= n
+        return self.valuation() >= n
 
     def unshift(self, n: int) -> "UPoly":
         """Exact division by u^n; raises if u^n does not divide."""
-        if self.is_zero():
-            return self
         if self.valuation() < n:
             raise ValueError(f"u^{n} does not divide {self!r}")
-        return UPoly(self.field, self.coeffs[n:])
+        return UPoly(self.field, {e - n: c for e, c in self.terms.items()})
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return self.degree() <= 0
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, UPoly) and self.field == other.field and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.d, tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.field.p, self.field.d, frozenset((n, c.n) for n, c in self.terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "UPoly(0)"
-        terms = [f"{c.coeffs}*u^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        terms = [f"{c.coeffs}*u^{n}" for n, c in sorted(self.terms.items())]
         return "UPoly(" + " + ".join(terms) + ")"
 
 
 def poly_phi(poly: UPoly) -> UPoly:
     """Frobenius-semilinear substitution: sum c_j u^j  ->  sum c_j^p u^(pj)."""
-    if poly.is_zero():
-        return poly
     p = poly.field.p
-    out = [poly.field.zero] * (p * poly.degree() + 1)
-    for j, c in enumerate(poly.coeffs):
-        if not c.is_zero():
-            out[p * j] = frobenius(c)
-    return UPoly(poly.field, out)
+    return UPoly(poly.field, {p * j: frobenius(c) for j, c in poly.terms.items()})

@@ -11,9 +11,9 @@ families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chars import InertialChar, SemisimpleShape, char_of_exponents
 from .field import Context, FieldElem, FiniteField, UPoly
@@ -24,14 +24,11 @@ from .rankone import (
     alpha_seq,
     embedding_set,
     exceptional_case,
-    necessary_map_conditions,
 )
 from .ranktwo import (
     PhiExtension,
-    build_extension,
     generically_invertible,
     transport_forward,
-    twist_extension,
 )
 from .weights import (
     HTWeightTable,
@@ -45,9 +42,6 @@ from .weights import (
     set_Mtilde,
     st_sequences,
     validate_irregular,
-    weight_kmu,
-    weight_kprime,
-    weight_ktheta,
 )
 
 

@@ -103,24 +103,41 @@ def alpha_diff(N1: RankOneKisin, N2: RankOneKisin, i: int) -> Fraction:
     return alpha(N1, i) - alpha(N2, i)
 
 
-def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
-    """Whether a nonzero map N1 -> N2 exists: equal scalars, all slope diffs in Z_{>=0}."""
+def _hom_twist(N1: RankOneKisin, N2: RankOneKisin) -> Optional[tuple[int, ...]]:
+    """The slope diffs alpha_i(N1) - alpha_i(N2) if the scalars agree and all are in Z_{>=0}, else None.
+
+    m * alpha_{f-1} is the weighted sum of r (m = p^f - 1), and
+    alpha_i + r_i = p * alpha_{i-1} gives the rest, each tested by divmod.
+    """
     if (N1.p, N1.f) != (N2.p, N2.f):
         raise ValueError("modules over different rings")
     if N1.a != N2.a:
-        return False
-    for i in range(N1.f):
-        d = alpha_diff(N1, N2, i)
-        if d.denominator != 1 or d < 0:
-            return False
-    return True
+        return None
+    p = N1.p
+    m = p ** len(N1.r) - 1
+    diff = [x - y for x, y in zip(N1.r, N2.r)]
+    num = weighted_sum(p, diff)
+    out = []
+    for d in diff:
+        num = p * num - m * d
+        q, rem = divmod(num, m)
+        if rem or q < 0:
+            return None
+        out.append(q)
+    return tuple(out)
+
+
+def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
+    """Whether a nonzero map N1 -> N2 exists: equal scalars, all slope diffs in Z_{>=0}."""
+    return _hom_twist(N1, N2) is not None
 
 
 def hom_exponents(N1: RankOneKisin, N2: RankOneKisin) -> tuple[int, ...]:
     """Twist exponents of the (unique up to scalar) map N1 -> N2; raises if none exists."""
-    if not hom_exists(N1, N2):
+    twist = _hom_twist(N1, N2)
+    if twist is None:
         raise ValueError("no nonzero map exists")
-    return tuple(int(alpha_diff(N1, N2, i)) for i in range(N1.f))
+    return twist
 
 
 def inertial_char(ctx: Context, N: RankOneKisin) -> InertialChar:

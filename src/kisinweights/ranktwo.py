@@ -15,9 +15,9 @@ coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .field import FieldElem, FiniteField, UPoly, make_field, poly_phi
+from .field import FieldElem, FiniteField, UPoly, poly_phi
 from .rankone import (
     ExtensionType,
     RankOneKisin,
@@ -94,34 +94,28 @@ def check_phi_morphism(g: PhiMorphism, src: PhiExtension, dst: PhiExtension) -> 
     f = src.f
     if dst.f != f or len(g.matrices) != f:
         raise ValueError("size mismatch")
-    fld = src.field
     for i in range(f):
-        A = g.matrices[i % f]
+        A = g.matrices[i]
         B = g.matrices[(i - 1) % f]
-        b_i = UPoly.constant(_scalar_at(src.sub.a, i, f))
-        a_i = UPoly.constant(_scalar_at(src.quotient.a, i, f))
-        bp_i = UPoly.constant(_scalar_at(dst.sub.a, i, f))
-        ap_i = UPoly.constant(_scalar_at(dst.quotient.a, i, f))
-        u_t = UPoly.monomial(fld.one, src.sub.r[i])
-        u_s = UPoly.monomial(fld.one, src.quotient.r[i])
-        u_tp = UPoly.monomial(fld.one, dst.sub.r[i])
-        u_sp = UPoly.monomial(fld.one, dst.quotient.r[i])
-        x_i = src.x[i]
-        xp_i = dst.x[i]
+        b_i, a_i = _scalar_at(src.sub.a, i, f), _scalar_at(src.quotient.a, i, f)
+        bp_i, ap_i = _scalar_at(dst.sub.a, i, f), _scalar_at(dst.quotient.a, i, f)
+        t, s, x_i = src.sub.r[i], src.quotient.r[i], src.x[i]
+        tp, sp, xp_i = dst.sub.r[i], dst.quotient.r[i], dst.x[i]
+        phi_B = [[poly_phi(entry) for entry in row] for row in B]
 
         # image of phi(e_{i-1})
-        lhs_e_e = b_i * u_t * A[0][0]
-        lhs_e_f = b_i * u_t * A[1][0]
-        rhs_e_e = poly_phi(B[0][0]) * bp_i * u_tp + poly_phi(B[1][0]) * xp_i
-        rhs_e_f = poly_phi(B[1][0]) * ap_i * u_sp
+        lhs_e_e = A[0][0].shift(t).scale(b_i)
+        lhs_e_f = A[1][0].shift(t).scale(b_i)
+        rhs_e_e = phi_B[0][0].shift(tp).scale(bp_i) + phi_B[1][0] * xp_i
+        rhs_e_f = phi_B[1][0].shift(sp).scale(ap_i)
         if lhs_e_e != rhs_e_e or lhs_e_f != rhs_e_f:
             return False
 
         # image of phi(f_{i-1})
-        lhs_f_e = a_i * u_s * A[0][1] + x_i * A[0][0]
-        lhs_f_f = a_i * u_s * A[1][1] + x_i * A[1][0]
-        rhs_f_e = poly_phi(B[0][1]) * bp_i * u_tp + poly_phi(B[1][1]) * xp_i
-        rhs_f_f = poly_phi(B[1][1]) * ap_i * u_sp
+        lhs_f_e = A[0][1].shift(s).scale(a_i) + x_i * A[0][0]
+        lhs_f_f = A[1][1].shift(s).scale(a_i) + x_i * A[1][0]
+        rhs_f_e = phi_B[0][1].shift(tp).scale(bp_i) + phi_B[1][1] * xp_i
+        rhs_f_f = phi_B[1][1].shift(sp).scale(ap_i)
         if lhs_f_e != rhs_f_e or lhs_f_f != rhs_f_f:
             return False
     return True

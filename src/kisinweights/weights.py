@@ -14,7 +14,7 @@ regular companion weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .rankone import EmbeddingSet, ExtensionType, embedding_set
 from .field import FieldElem

@@ -150,3 +150,25 @@ def test_invalid_input_exit_usage(capsys):
 def test_dumps_deterministic():
     doc = {"z": 1, "a": frozenset({2, 1}), "m": 2**60}
     assert dumps(doc) == dumps({"a": {1, 2}, "m": 2**60, "z": 1})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "--j", "0"],
+        ["match", "--jprime", "0", "--jtheta", "0"],
+        ["verify", "--suite", "irr-equiv"],
+        ["verify", "--suite", "transport"],
+        ["verify", "--suite", "semisimple-equiv"],
+        ["verify", "--suite", "lemma71"],
+        ["shift"],
+    ],
+)
+@pytest.mark.parametrize("p,f,k", [("3", "2", "1,3,3"), ("5", "3", "1,3")])
+def test_k_length_mismatch_refused(capsys, tmp_path, argv, p, f, k):
+    cache = ["--cache", str(tmp_path)] if argv[0] == "verify" else []
+    code, out = run(capsys, *argv, "--p", p, "--f", f, "--k", k, *cache)
+    assert code == EXIT_USAGE
+    doc = json.loads(out)
+    assert doc["error"] == "invalid" and "weight entries" in doc["reason"]
+    assert not list(tmp_path.iterdir())  # nothing cached

@@ -145,3 +145,160 @@ def test_poly_phi_multiplicative(a, b, c):
     y = UPoly.monomial(F.elem(c % 9), 2) + UPoly.constant(F.one)
     assert poly_phi(x * y) == poly_phi(x) * poly_phi(y)
     assert poly_phi(x + y) == poly_phi(x) + poly_phi(y)
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against a dense coefficient-vector reference
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = [(5, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+def _digits(n, p, d):
+    return [n // p**i % p for i in range(d)]
+
+
+def _ref_mul(a, b, modulus, p):
+    """Schoolbook product of coefficient vectors, reduced by the monic modulus."""
+    d = len(modulus) - 1
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        for j in range(d + 1):
+            prod[top - d + j] = (prod[top - d + j] - c * modulus[j]) % p
+    return prod[:d]
+
+
+def _ref_pow(a, e, modulus, p):
+    result = [1] + [0] * (len(a) - 1)
+    for _ in range(e):
+        result = _ref_mul(result, a, modulus, p)
+    return result
+
+
+@pytest.mark.parametrize("p,d", ORACLE_FIELDS)
+def test_table_arithmetic_matches_dense_reference(p, d):
+    F = make_field(p, d)
+    mod = F.modulus
+    vec = {n: _digits(n, p, d) for n in range(F.order)}
+    for a in F.elements():
+        va = vec[a.as_int()]
+        assert list(a.coeffs) == va
+        assert F.elem(a.as_int()) is a and F.elem(va) is a
+        assert list((-a).coeffs) == [(-c) % p for c in va]
+        assert list(frobenius(a).coeffs) == _ref_pow(va, p, mod, p)
+        for b in F.elements():
+            vb = vec[b.as_int()]
+            assert list((a + b).coeffs) == [(x + y) % p for x, y in zip(va, vb)]
+            assert list((a - b).coeffs) == [(x - y) % p for x, y in zip(va, vb)]
+            assert list((a * b).coeffs) == _ref_mul(va, vb, mod, p)
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            with pytest.raises(ZeroDivisionError):
+                a ** -1
+            assert a**0 == F.one and a**3 == a
+            continue
+        inv = a.inverse()
+        assert _ref_mul(va, list(inv.coeffs), mod, p) == [1] + [0] * (d - 1)
+        for e in (-3, -1, 0, 1, 2, F.order + 1):
+            want = _ref_pow(list(inv.coeffs) if e < 0 else va, abs(e), mod, p)
+            assert list((a**e).coeffs) == want
+
+
+def test_elem_int_and_vector_round_trip():
+    F = make_field(5, 2)
+    for n in range(F.order):
+        x = F.elem(n)
+        assert x.as_int() == n
+        assert F.elem(x.coeffs) is x
+        assert F.elem(-n) == -x
+    assert F.elem([7, -1]) == F.elem([2, 4])
+    with pytest.raises(ValueError):
+        F.elem(F.order)
+    with pytest.raises(ValueError):
+        F.elem([1, 2, 3])
+    assert list(F.units()) == list(F.elements())[1:]
+
+
+def test_cross_field_operations_refused():
+    a, b = make_field(3, 2).one, make_field(3, 1).one
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ValueError):
+            op()
+
+
+# ---------------------------------------------------------------------------
+# sparse F[u] against a dense-list reference
+# ---------------------------------------------------------------------------
+
+F9 = make_field(3, 2)
+dense_polys = st.lists(st.integers(0, F9.order - 1), max_size=6).map(
+    lambda ns: [F9.elem(n) for n in ns]
+)
+
+
+def _from_dense(cs):
+    out = UPoly.zero(F9)
+    for n, c in enumerate(cs):
+        out = out + UPoly.monomial(c, n)
+    return out
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _dense_of(q):
+    return _trim(q.coefficient(n) for n in range(q.degree() + 1))
+
+
+def _dense_mul(a, b):
+    out = [F9.zero] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _dense_zip(a, b, op):
+    n = max(len(a), len(b))
+    a, b = a + [F9.zero] * (n - len(a)), b + [F9.zero] * (n - len(b))
+    return _trim(op(x, y) for x, y in zip(a, b))
+
+
+@settings(max_examples=300)
+@given(dense_polys, dense_polys, st.integers(0, 4))
+def test_sparse_upoly_matches_dense_reference(a, b, n):
+    x, y = _from_dense(a), _from_dense(b)
+    a, b = _trim(a), _trim(b)
+    assert _dense_of(x) == a
+    assert x.degree() == len(a) - 1
+    nonzero = [i for i, c in enumerate(a) if not c.is_zero()]
+    assert x.valuation() == (nonzero[0] if nonzero else math.inf)
+    assert _dense_of(x * y) == _dense_mul(a, b)
+    assert _dense_of(x + y) == _dense_zip(a, b, lambda s, t: s + t)
+    assert _dense_of(x - y) == _dense_zip(a, b, lambda s, t: s - t)
+    assert _dense_of(x.shift(n)) == (_trim([F9.zero] * n + a) if a else [])
+    assert x.shift(n).unshift(n) == x
+    phi = [F9.zero] * (3 * len(a))
+    for j, c in enumerate(a):
+        phi[3 * j] = c**3
+    assert _dense_of(poly_phi(x)) == _trim(phi)
+
+
+@settings(max_examples=200)
+@given(dense_polys, dense_polys)
+def test_sparse_upoly_cancellation_and_hash(a, b):
+    x, y = _from_dense(a), _from_dense(b)
+    assert (x - x).is_zero()
+    assert x - x == UPoly.zero(F9)
+    assert (x + y) - y == x
+    assert hash((x + y) - y) == hash(x)
+    assert hash(x * y) == hash(y * x) and x * y == y * x

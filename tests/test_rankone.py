@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kisinweights.field import Context, make_field
 from kisinweights.rankone import (
@@ -61,6 +62,38 @@ def test_hom_exists_and_exponents():
     assert hom_exists(N1, N2)
     assert hom_exponents(N1, N2) == (1, 0)
     assert not hom_exists(N2, N1)
+
+
+@st.composite
+def module_pairs(draw):
+    """(N1, N2) over F_p; half the time N1 = N2 twisted along chosen slope differences c."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.integers(1, 4))
+    F = make_field(p, 1)
+    r2 = draw(st.lists(st.integers(-p, 2 * p), min_size=f, max_size=f))
+    if draw(st.booleans()):
+        # alpha_i(N1) - alpha_i(N2) = c_i  iff  r1_i - r2_i = p c_{i-1} - c_i
+        c = draw(st.lists(st.integers(-2, 3), min_size=f, max_size=f))
+        r1 = [r2[i] + p * c[i - 1] - c[i] for i in range(f)]
+    else:
+        r1 = draw(st.lists(st.integers(-p, 2 * p), min_size=f, max_size=f))
+    a2 = F.elem(draw(st.integers(1, p - 1)))
+    a1 = a2 if draw(st.booleans()) else F.elem(draw(st.integers(1, p - 1)))
+    return RankOneKisin(p, r1, a1), RankOneKisin(p, r2, a2)
+
+
+@settings(max_examples=500)
+@given(module_pairs())
+def test_integer_slope_test_matches_fraction_definition(pair):
+    N1, N2 = pair
+    diffs = [alpha_diff(N1, N2, i) for i in range(N1.f)]
+    expected = N1.a == N2.a and all(d.denominator == 1 and d >= 0 for d in diffs)
+    assert hom_exists(N1, N2) == expected
+    if expected:
+        assert hom_exponents(N1, N2) == tuple(int(d) for d in diffs)
+    else:
+        with pytest.raises(ValueError):
+            hom_exponents(N1, N2)
 
 
 def test_hom_requires_equal_scalar():

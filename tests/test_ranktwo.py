@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kisinweights.field import UPoly, make_field
+from kisinweights.field import UPoly, make_field, poly_phi
 from kisinweights.rankone import ExtensionType, RankOneKisin
 from kisinweights.ranktwo import (
     PhiExtension,
@@ -135,3 +136,85 @@ def test_twist_preserves_morphisms():
     T = twist_extension(M, (2, 1), TWO)
     g = PhiMorphism.diagonal(F3, (0, 0), (0, 0))
     assert check_phi_morphism(g, T, T)
+
+
+def _reference_check(g, src, dst):
+    """The 4f identities written as products of constants and monomials in F[u]."""
+    F, f = src.field, src.f
+    for i in range(f):
+        A, B = g.matrices[i], g.matrices[(i - 1) % f]
+        b, a, bp, ap = (
+            UPoly.constant(c if i == 0 else F.one)
+            for c in (src.sub.a, src.quotient.a, dst.sub.a, dst.quotient.a)
+        )
+        ut, us, utp, usp = (
+            UPoly.monomial(F.one, n)
+            for n in (src.sub.r[i], src.quotient.r[i], dst.sub.r[i], dst.quotient.r[i])
+        )
+        x, xp, ph = src.x[i], dst.x[i], poly_phi
+        if b * ut * A[0][0] != ph(B[0][0]) * bp * utp + ph(B[1][0]) * xp:
+            return False
+        if b * ut * A[1][0] != ph(B[1][0]) * ap * usp:
+            return False
+        if a * us * A[0][1] + x * A[0][0] != ph(B[0][1]) * bp * utp + ph(B[1][1]) * xp:
+            return False
+        if a * us * A[1][1] + x * A[1][0] != ph(B[1][1]) * ap * usp:
+            return False
+    return True
+
+
+@st.composite
+def morphism_cases(draw):
+    """(g, src, dst) around a true case, with at most one entry of g or one parameter redrawn.
+
+    Either a forward transport (nonzero parameters, diagonal g), or split
+    extensions with one nonzero block of g: the map of one line of src to
+    one line of dst along twist exponents c >= 0, so each of the four
+    identities is exercised on its own.
+    """
+    p, F = 3, make_field(3, 2)
+    f = draw(st.integers(1, 3))
+    elems = st.integers(0, F.order - 1).map(F.elem)
+    units = st.integers(1, F.order - 1).map(F.elem)
+    polys = st.dictionaries(st.integers(0, 6), elems, max_size=2).map(
+        lambda terms: sum((UPoly.monomial(c, n) for n, c in terms.items()), UPoly.zero(F))
+    )
+    small = st.lists(st.integers(0, 2), min_size=f, max_size=f)
+    line = st.builds(lambda r, a: RankOneKisin(p, r, a), small, units)
+    c, base = draw(small), draw(small)
+    # a line with exponents r and its target along c: r_i - r'_i = p c_{i-1} - c_i
+    r = [base[i] + p * c[i - 1] for i in range(f)]
+    S = RankOneKisin(p, r, draw(units))
+    T = RankOneKisin(p, [r[i] - p * c[i - 1] + c[i] for i in range(f)], S.a)
+    zero = UPoly.zero(F)
+    if draw(st.booleans()):
+        src = PhiExtension(draw(line), S, draw(st.lists(elems.map(UPoly.constant), min_size=f, max_size=f)))
+        dst, g = transport_forward(src, src.quotient, T)
+    else:
+        row, col = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        src_lines = (draw(line), S) if col == 0 else (S, draw(line))  # (quotient, sub)
+        dst_lines = (draw(line), T) if row == 0 else (T, draw(line))
+        src = PhiExtension(*src_lines, (zero,) * f)
+        dst = PhiExtension(*dst_lines, (zero,) * f)
+        mats = [[[zero, zero], [zero, zero]] for _ in range(f)]
+        for i in range(f):
+            mats[i][row][col] = UPoly.monomial(F.one, c[i])
+        g = PhiMorphism(tuple(tuple(map(tuple, A)) for A in mats))
+    i = draw(st.integers(0, f - 1))
+    choice = draw(st.sampled_from(["none", "src_x", "dst_x", "entry"]))
+    if choice == "src_x":
+        src = PhiExtension(src.quotient, src.sub, src.x[:i] + (draw(polys),) + src.x[i + 1 :])
+    elif choice == "dst_x":
+        dst = PhiExtension(dst.quotient, dst.sub, dst.x[:i] + (draw(polys),) + dst.x[i + 1 :])
+    elif choice == "entry":
+        mats = [list(map(list, A)) for A in g.matrices]
+        mats[i][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(polys)
+        g = PhiMorphism(tuple(tuple(map(tuple, A)) for A in mats))
+    return g, src, dst
+
+
+@settings(max_examples=300)
+@given(morphism_cases())
+def test_check_phi_morphism_matches_product_form(case):
+    g, src, dst = case
+    assert check_phi_morphism(g, src, dst) == _reference_check(g, src, dst)
