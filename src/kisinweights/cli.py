@@ -34,7 +34,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .field import Context
@@ -65,9 +65,7 @@ from .rankone import (
 from .weights import (
     Weight,
     blocks,
-    bmu_table,
-    bprime_table,
-    btheta_table,
+    companion_sides,
     ht_table,
     set_J0,
     set_M,
@@ -129,11 +127,16 @@ def dumps(doc: Any) -> str:
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
+    _write_lines([text], out)
+
+
+def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
+    """Write each chunk as it is produced, to the file ``out`` or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +247,12 @@ def cmd_shift(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _congruence_doc(ctx: Context, w: Weight, J, fs) -> dict:
-    s, t = st_sequences(ht_table(w), J)
+def _congruence_doc(ctx: Context, w: Weight, fs) -> dict:
+    s, t = st_sequences(ht_table(w), fs.J)
     out = {}
-    sides = [("base", bprime_table(w), fs.Jprime), ("full", btheta_table(w), fs.Jtheta)]
-    sides += [(f"marked{mu}", bmu_table(w, mu), fs.Jmu[mu]) for mu in sorted(fs.Jmu)]
-    for name, table, Jside in sides:
-        ss, ts = st_sequences(table, Jside)
-        out[name] = {
+    for side, Jside in zip(companion_sides(w), fs.carriers):
+        ss, ts = st_sequences(side.table, Jside)
+        out[side.name] = {
             "upper": check_congruence(ctx.p, s, ss, ctx.m1),
             "lower": check_congruence(ctx.p, t, ts, ctx.m1),
         }
@@ -273,7 +274,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         doc["Jprime"] = fs.Jprime
         doc["Jtheta"] = fs.Jtheta
         doc["Jmu"] = dict(fs.Jmu)
-        doc["congruences"] = _congruence_doc(ctx, w, fs.J, fs)
+        doc["congruences"] = _congruence_doc(ctx, w, fs)
         _write_out(dumps(doc), args.out)
         return EXIT_OK
     doc["direction"] = "backward"
@@ -459,6 +460,10 @@ SUITES = {
 }
 
 
+OUTCOMES = ("pass", "fail", "refused")
+RECORD_FIELDS = frozenset({"suite", "params", "outcome", "detail"})
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     """Serializable outcome of one verification suite run."""
@@ -496,6 +501,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _read_record(path: str, suite: str, params: dict) -> Optional[dict]:
+    """The cached record at path, or None when it is missing, unreadable or
+    not a record of this suite and these parameters."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, dict) or not RECORD_FIELDS <= doc.keys():
+        return None
+    if doc["outcome"] not in OUTCOMES or not isinstance(doc["detail"], dict):
+        return None
+    return doc if doc["suite"] == suite and doc["params"] == jsonable(params) else None
+
+
 def _stable_view(record_doc: dict) -> dict:
     view = dict(record_doc)
     view.pop("wall_time_ms", None)
@@ -509,6 +529,8 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> Verific
         result = SUITES[suite](ctx, k)
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
+    except AssertionError as err:
+        result = {"outcome": "fail", "reason": str(err)}
     elapsed = int((time.monotonic() - start) * 1000)
     outcome = result.pop("outcome")
     return VerificationRecord(suite, params, outcome, result, elapsed, _fingerprint())
@@ -522,9 +544,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.cache is not None:
         os.makedirs(args.cache, exist_ok=True)
         cache_path = os.path.join(args.cache, _record_key(args.suite, params) + ".json")
-        if os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as fh:
-                cached_doc = json.load(fh)
+        cached_doc = _read_record(cache_path, args.suite, params)
 
     if cached_doc is not None and not args.force:
         doc = cached_doc
@@ -562,25 +582,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     ctx = Context(args.p, args.f, args.d)
     shard_i, shard_n = args.shard
-    lines = []
-    unit = 0
-    for w in sorted(_valid_weights(ctx.p, ctx.f), key=lambda w: w.k):
-        for mask in range(1 << ctx.f):
-            J = frozenset(i for i in range(ctx.f) if mask >> i & 1)
-            if unit % shard_n == shard_i:
-                fs = forward_sets(ctx, w, J)
-                record = {
-                    "unit": unit,
-                    "k": w.k,
-                    "J": J,
-                    "Jprime": fs.Jprime,
-                    "Jtheta": fs.Jtheta,
-                    "Jmu": dict(fs.Jmu),
-                }
-                lines.append(json.dumps(jsonable(record), sort_keys=True))
-            unit += 1
-    text = "".join(line + "\n" for line in lines)
-    _write_out(text, args.out)
+
+    def lines() -> Iterator[str]:
+        weights = sorted(_valid_weights(ctx.p, ctx.f), key=lambda w: w.k)
+        for unit, (w, J) in enumerate(itertools.product(weights, _subsets(ctx.f))):
+            if unit % shard_n != shard_i:
+                continue
+            fs = forward_sets(ctx, w, J)
+            record = {
+                "unit": unit,
+                "k": w.k,
+                "J": J,
+                "Jprime": fs.Jprime,
+                "Jtheta": fs.Jtheta,
+                "Jmu": dict(fs.Jmu),
+            }
+            yield json.dumps(jsonable(record), sort_keys=True) + "\n"
+
+    _write_lines(lines(), args.out)
     return EXIT_OK
 
 
@@ -609,6 +628,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as err:
         _write_out(dumps({"error": "invalid", "reason": str(err)}), getattr(args, "out", None))
         return EXIT_USAGE
+    except AssertionError as err:
+        _write_out(dumps({"error": "fail", "reason": str(err)}), getattr(args, "out", None))
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .chars import InertialChar, SemisimpleShape, char_of_exponents
 from .field import Context, FieldElem, FiniteField, UPoly
@@ -31,12 +31,11 @@ from .ranktwo import (
     transport_forward,
 )
 from .weights import (
+    BlockDecomposition,
     HTWeightTable,
     Weight,
     blocks,
-    bmu_table,
-    bprime_table,
-    btheta_table,
+    companion_sides,
     ht_table,
     set_J0,
     set_Mtilde,
@@ -132,64 +131,50 @@ def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[
 
 @dataclass(frozen=True)
 class ForwardSets:
-    """Companion carrier sets attached to (w, J)."""
+    """Companion carrier sets attached to (w, J); ``carriers`` follows companion_sides(w)."""
 
     J: EmbeddingSet
     Jprime: EmbeddingSet
     Jtheta: EmbeddingSet
     Jmu: dict[int, EmbeddingSet]
+    carriers: tuple[EmbeddingSet, ...]
+
+
+def _side_carrier(
+    J: EmbeddingSet, J0: EmbeddingSet, bd: BlockDecomposition, theta: EmbeddingSet
+) -> EmbeddingSet:
+    """J off the k = 1 locus, plus each block's 1-tail where its marked element's
+    membership in J differs from its membership in theta."""
+    out = set(J - J0)
+    for blk in bd.blocks:
+        if (blk.nu in J) != (blk.nu in theta):
+            out.update(blk.tail)
+    return frozenset(out)
 
 
 def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
-    """Build the companion carrier sets and verify the six weighted congruences.
+    """Build the companion carrier sets and verify the weighted congruences.
 
     Off the k = 1 locus all companion sets agree with J.  On each block's
-    1-tail, the base companion follows the block's marked element while the
-    marked and fully-marked companions take the opposite membership on their
-    own block.
+    1-tail, a side follows the block's marked element, except that it takes
+    the opposite membership on the blocks whose marked element is in its theta.
+    Every side's split sequences must be congruent to those of (w, J).
     """
     validate_irregular(w)
-    f = w.f
-    Jset = embedding_set(f, J)
+    Jset = embedding_set(w.f, J)
     J0 = set_J0(w)
-    Mt = set_Mtilde(w)
-    base = Jset - J0
     bd = blocks(w)
+    sides = companion_sides(w)
+    carriers = tuple(_side_carrier(Jset, J0, bd, side.theta) for side in sides)
 
-    Jp = set(base)
-    Jth = set(base)
-    for blk in bd.blocks:
-        if blk.nu in Jset:
-            Jp |= set(blk.tail)
-        else:
-            Jth |= set(blk.tail)
-    Jmu = {}
-    for mu in Mt:
-        Jm = set(base)
-        for blk in bd.blocks:
-            follows = blk.nu in Jset
-            if blk.nu == mu:
-                follows = not follows
-            if follows:
-                Jm |= set(blk.tail)
-        Jmu[mu] = frozenset(Jm)
-
-    fs = ForwardSets(Jset, frozenset(Jp), frozenset(Jth), Jmu)
-
-    # verify the weighted congruences linking all split sequences
     m = ctx.m1
     s, t = st_sequences(ht_table(w), Jset)
-    sp, tp = st_sequences(bprime_table(w), fs.Jprime)
-    sth, tth = st_sequences(btheta_table(w), fs.Jtheta)
-    if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
-        raise AssertionError("base companion congruence failed")
-    if not check_congruence(ctx.p, sp, sth, m) or not check_congruence(ctx.p, tp, tth, m):
-        raise AssertionError("fully-marked companion congruence failed")
-    for mu, Jm in fs.Jmu.items():
-        sm, tm = st_sequences(bmu_table(w, mu), Jm)
-        if not check_congruence(ctx.p, sp, sm, m) or not check_congruence(ctx.p, tp, tm, m):
-            raise AssertionError(f"marked companion congruence failed at {mu}")
-    return fs
+    for side, Jside in zip(sides, carriers):
+        ss, ts = st_sequences(side.table, Jside)
+        if not check_congruence(ctx.p, s, ss, m) or not check_congruence(ctx.p, t, ts, m):
+            raise AssertionError(f"{side.name} companion congruence failed")
+    Jmu = {min(side.theta): Jside for side, Jside in zip(sides[1:-1], carriers[1:-1])}
+    return ForwardSets(Jset, carriers[0], carriers[-1], Jmu, carriers)
 
 
 # ---------------------------------------------------------------------------
@@ -197,45 +182,46 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
 # ---------------------------------------------------------------------------
 
 
-def _check_block_dichotomy(
-    w: Weight, Jp: EmbeddingSet, Jaux: EmbeddingSet, blk_indices: Sequence[int], nu: int, tail: Sequence[int]
-) -> None:
-    """Either nu and its tail lie in Jp with the tail off Jaux, or the reverse."""
-    part = [nu, *tail]
-    if nu in Jp:
-        ok = all(i in Jp for i in part) and all(i not in Jaux for i in tail)
-    else:
-        ok = all(i not in Jp for i in part) and all(i in Jaux for i in tail)
-    if not ok:
-        raise DichotomyError(
-            f"carrier sets violate the block dichotomy on block {tuple(blk_indices)}"
-        )
+def _backward(
+    ctx: Context, w: Weight, Jprime: Iterable[int], aux_of: Callable[[int], EmbeddingSet]
+) -> EmbeddingSet:
+    """Reconstruct the irregular carrier set from the base set, checking each
+    block's dichotomy against the auxiliary carrier ``aux_of(nu)``.
+
+    Either nu and its tail lie in the base set with the tail off the auxiliary
+    set, or the reverse.  The result keeps each block's marked element as in
+    the base set and drops the 1-tail; it is checked against the weighted
+    congruences.
+    """
+    f = w.f
+    Jp = embedding_set(f, Jprime)
+    for blk in blocks(w).blocks:
+        Jaux = aux_of(blk.nu)
+        part = (blk.nu, *blk.tail)
+        if blk.nu in Jp:
+            ok = all(i in Jp for i in part) and all(i not in Jaux for i in blk.tail)
+        else:
+            ok = all(i not in Jp for i in part) and all(i in Jaux for i in blk.tail)
+        if not ok:
+            raise DichotomyError(
+                f"carrier sets violate the block dichotomy on block {blk.indices}"
+            )
+    J = Jp - set_J0(w)
+    m = ctx.m1
+    s, t = st_sequences(ht_table(w), J)
+    sp, tp = st_sequences(companion_sides(w)[0].table, Jp)
+    if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
+        raise AssertionError("reconstructed carrier fails the weighted congruence")
+    return J
 
 
 def backward_from_theta(
     ctx: Context, w: Weight, Jprime: Iterable[int], Jtheta: Iterable[int]
 ) -> EmbeddingSet:
-    """Reconstruct the irregular carrier set from the base and fully-marked sets.
-
-    Requires the per-block dichotomy; the result keeps each block's marked
-    element as in the base set, drops the 1-tail from it and takes the
-    opposite lift there, then is checked against the weighted congruences.
-    """
+    """Reconstruct the irregular carrier set from the base and fully-marked sets."""
     validate_irregular(w)
-    f = w.f
-    Jp = embedding_set(f, Jprime)
-    Jth = embedding_set(f, Jtheta)
-    J0 = set_J0(w)
-    bd = blocks(w)
-    for blk in bd.blocks:
-        _check_block_dichotomy(w, Jp, Jth, blk.indices, blk.nu, blk.tail)
-    J = Jp - J0
-    m = ctx.m1
-    s, t = st_sequences(ht_table(w), J)
-    sp, tp = st_sequences(bprime_table(w), Jp)
-    if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
-        raise AssertionError("reconstructed carrier fails the weighted congruence")
-    return J
+    Jth = embedding_set(w.f, Jtheta)
+    return _backward(ctx, w, Jprime, lambda nu: Jth)
 
 
 def backward_from_mus(
@@ -243,23 +229,9 @@ def backward_from_mus(
 ) -> EmbeddingSet:
     """Reconstruct the irregular carrier set from the base and all marked sets."""
     validate_irregular(w)
-    f = w.f
-    Jp = embedding_set(f, Jprime)
-    J0 = set_J0(w)
-    Mt = set_Mtilde(w)
-    if set(Jmu) != set(Mt):
+    if set(Jmu) != set(set_Mtilde(w)):
         raise ValueError("need one marked carrier set per marked index")
-    bd = blocks(w)
-    for blk in bd.blocks:
-        Jm = embedding_set(f, Jmu[blk.nu])
-        _check_block_dichotomy(w, Jp, Jm, blk.indices, blk.nu, blk.tail)
-    J = Jp - J0
-    m = ctx.m1
-    s, t = st_sequences(ht_table(w), J)
-    sp, tp = st_sequences(bprime_table(w), Jp)
-    if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
-        raise AssertionError("reconstructed carrier fails the weighted congruence")
-    return J
+    return _backward(ctx, w, Jprime, lambda nu: embedding_set(w.f, Jmu[nu]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +257,7 @@ def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:
     irregular weight agrees with membership for both companion systems."""
     validate_irregular(w)
     A = achievable_pairs(ctx, ht_table(w))
-    Ap = achievable_pairs(ctx, bprime_table(w))
-    Ath = achievable_pairs(ctx, btheta_table(w))
-    Amu = [achievable_pairs(ctx, bmu_table(w, mu)) for mu in sorted(set_Mtilde(w))]
+    Ap, *Amu, Ath = [achievable_pairs(ctx, side.table) for side in companion_sides(w)]
     m = ctx.m1
     bad = []
     total = 0
@@ -315,97 +285,69 @@ def _alpha_vec(p: int, x: Sequence[int], y: Sequence[int]) -> list[Fraction]:
     return [alpha_seq(p, [a - b for a, b in zip(x, y)], i) for i in range(len(x))]
 
 
+def _expected_slopes(
+    f: int,
+    J0: EmbeddingSet,
+    Mt: EmbeddingSet,
+    theta: EmbeddingSet,
+    Jside: EmbeddingSet,
+    upper: bool,
+) -> list[int]:
+    """Closed-form slope differences of a side against the irregular weight.
+
+    Upper (s) or lower (t) sequences: 1 at a marked index whose side of Jside
+    differs from its theta membership, or at a k = 1 index on that side of
+    Jside followed by another k = 1 index; 0 elsewhere.
+    """
+    return [
+        1
+        if (i in Mt and ((i in Jside) == upper) != (i in theta))
+        or (i in J0 and (i in Jside) == upper and (i + 1) % f in J0)
+        else 0
+        for i in range(f)
+    ]
+
+
 def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     """Verify the closed-form slope difference tables for (w, J); raises on mismatch."""
     validate_irregular(w)
     f, p = w.f, ctx.p
     fs = forward_sets(ctx, w, J)
     J0 = set_J0(w)
-    Mt = set_Mtilde(w)
+    sides = companion_sides(w)
+    Mt = sides[-1].theta
     bd = blocks(w)
-
-    s, t = st_sequences(ht_table(w), fs.J)
-    sp, tp = st_sequences(bprime_table(w), fs.Jprime)
-    sth, tth = st_sequences(btheta_table(w), fs.Jtheta)
 
     def expect(name: str, got: Sequence[Fraction], want: Sequence[int]) -> None:
         if list(got) != [Fraction(v) for v in want]:
             raise AssertionError(f"slope table {name} mismatch: {got} != {want}")
 
-    Jp, Jth = fs.Jprime, fs.Jtheta
-    nxt = lambda i: (i + 1) % f
+    s, t = st_sequences(ht_table(w), fs.J)
+    seqs = []
+    for side, Jside in zip(sides, fs.carriers):
+        ss, ts = st_sequences(side.table, Jside)
+        seqs.append((ss, ts))
+        for half, ours, theirs in (("s", ss, s), ("t", ts, t)):
+            want = _expected_slopes(f, J0, Mt, side.theta, Jside, upper=half == "s")
+            expect(f"{side.name}/{half}", _alpha_vec(p, ours, theirs), want)
 
-    expect(
-        "base/s",
-        _alpha_vec(p, sp, s),
-        [
-            1 if (i in Mt and i in Jp) or (i in J0 and i in Jp and nxt(i) in J0) else 0
-            for i in range(f)
-        ],
-    )
-    expect(
-        "base/t",
-        _alpha_vec(p, tp, t),
-        [
-            1 if (i in Mt and i not in Jp) or (i in J0 and i not in Jp and nxt(i) in J0) else 0
-            for i in range(f)
-        ],
-    )
-    expect(
-        "full/s",
-        _alpha_vec(p, sth, s),
-        [
-            1 if (i in Mt and i not in Jth) or (i in J0 and i in Jth and nxt(i) in J0) else 0
-            for i in range(f)
-        ],
-    )
-    expect(
-        "full/t",
-        _alpha_vec(p, tth, t),
-        [
-            1 if (i in Mt and i in Jth) or (i in J0 and i not in Jth and nxt(i) in J0) else 0
-            for i in range(f)
-        ],
-    )
-    for mu in sorted(Mt):
-        Jm = fs.Jmu[mu]
-        sm, tm = st_sequences(bmu_table(w, mu), Jm)
-        expect(
-            f"marked{mu}/s",
-            _alpha_vec(p, sm, s),
-            [
-                1
-                if (i in Mt and i != mu and i in Jm)
-                or (i == mu and i not in Jm)
-                or (i in J0 and i in Jm and nxt(i) in J0)
-                else 0
-                for i in range(f)
-            ],
-        )
-        expect(
-            f"marked{mu}/t",
-            _alpha_vec(p, tm, t),
-            [
-                1
-                if (i in Mt and i != mu and i not in Jm)
-                or (i == mu and i in Jm)
-                or (i in J0 and i not in Jm and nxt(i) in J0)
-                else 0
-                for i in range(f)
-            ],
-        )
-        # comparison of the base companion against the marked one, in the
-        # configuration where the marked element sits inside the carrier
+    (sp, tp), (sth, tth) = seqs[0], seqs[-1]
+    nxt = lambda i: (i + 1) % f
+    # comparison of the base companion against each marked one, in the
+    # configuration where the marked element sits inside the carrier
+    for side, (sm, tm) in zip(sides[1:-1], seqs[1:-1]):
+        (mu,) = side.theta
         if mu in fs.J:
             blk = bd.block_of(mu)
             want = [
                 1 if i == mu or (i in J0 and i in blk.indices and nxt(i) in J0) else 0
                 for i in range(f)
             ]
-            expect(f"base-vs-marked{mu}/s", _alpha_vec(p, sp, sm), want)
-            expect(f"base-vs-marked{mu}/t", _alpha_vec(p, tm, tp), want)
+            expect(f"base-vs-{side.name}/s", _alpha_vec(p, sp, sm), want)
+            expect(f"base-vs-{side.name}/t", _alpha_vec(p, tm, tp), want)
 
     # auxiliary interpolating sequences between the base and fully-marked sides
+    Jp = fs.Jprime
     sg = [sp[i] if i in Jp else sth[i] for i in range(f)]
     tg = [tp[i] if i in Jp else tth[i] for i in range(f)]
     want_in = [1 if i in Jp and nxt(i) in J0 else 0 for i in range(f)]
@@ -434,17 +376,17 @@ class ExceptionalReport:
         return not self.irregular_hits and not self.constrained_hits
 
 
-def _prime_constraint(blk_tails: Sequence[tuple[int, tuple[int, ...]]], J: frozenset) -> bool:
-    return all(
-        (nu in J and all(i in J for i in tail)) or (nu not in J and all(i not in J for i in tail))
-        for nu, tail in blk_tails
-    )
+def _side_constraint(bd: BlockDecomposition, theta: EmbeddingSet, J: EmbeddingSet) -> bool:
+    """The per-block carrier constraint of a side.
 
-
-def _marked_constraint(blk_tails: Sequence[tuple[int, tuple[int, ...]]], J: frozenset) -> bool:
+    For the base side (theta empty) each block's 1-tail follows its marked
+    element; otherwise the tail takes the opposite side on the blocks whose
+    marked element is in theta.
+    """
     return all(
-        (nu in J and all(i not in J for i in tail)) or (nu not in J and all(i in J for i in tail))
-        for nu, tail in blk_tails
+        all(((i in J) == (blk.nu in J)) != bool(theta) for i in blk.tail)
+        for blk in bd.blocks
+        if not theta or blk.nu in theta
     )
 
 
@@ -456,40 +398,24 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
     """
     validate_irregular(w)
     f = w.f
-    F = ctx.coefficient_field()
-    one = F.one
+    one = ctx.coefficient_field().one
     bd = blocks(w)
-    Mt = set_Mtilde(w)
-    blk_tails = [(blk.nu, blk.tail) for blk in bd.blocks]
+    subsets = [frozenset(i for i in range(f) if mask >> i & 1) for mask in range(1 << f)]
 
-    irregular_hits = []
     r = tuple(ki - 1 for ki in w.k)
-    for mask in range(1 << f):
-        J = frozenset(i for i in range(f) if mask >> i & 1)
-        if exceptional_case(ExtensionType(ctx.p, r, one, one, J)):
-            irregular_hits.append(J)
-
-    sides: list[tuple[str, HTWeightTable, object]] = [
-        ("base", bprime_table(w), lambda J: _prime_constraint(blk_tails, J))
+    irregular_hits = [
+        J for J in subsets if exceptional_case(ExtensionType(ctx.p, r, one, one, J))
     ]
-    for mu in sorted(Mt):
-        this_blk = tuple((nu, tail) for nu, tail in blk_tails if nu == mu)
-        sides.append(
-            (f"marked{mu}", bmu_table(w, mu), lambda J, tb=this_blk: _marked_constraint(tb, J))
-        )
-    sides.append(("full", btheta_table(w), lambda J: _marked_constraint(blk_tails, J)))
-
     constrained_hits = []
     unconstrained_hits = []
-    for name, table, constraint in sides:
-        gaps = table.gaps()
-        for mask in range(1 << f):
-            J = frozenset(i for i in range(f) if mask >> i & 1)
+    for side in companion_sides(w):
+        gaps = side.table.gaps()
+        for J in subsets:
             if exceptional_case(ExtensionType(ctx.p, gaps, one, one, J)):
-                if constraint(J):
-                    constrained_hits.append((name, J))
+                if _side_constraint(bd, side.theta, J):
+                    constrained_hits.append((side.name, J))
                 else:
-                    unconstrained_hits.append((name, J))
+                    unconstrained_hits.append((side.name, J))
     return ExceptionalReport(
         tuple(irregular_hits), tuple(constrained_hits), tuple(unconstrained_hits)
     )
@@ -530,20 +456,19 @@ def subspace_transport_audit(
     F = ctx.coefficient_field()
     Jset = embedding_set(f, J)
     J0 = set_J0(w)
-    Mt = set_Mtilde(w)
     fs = forward_sets(ctx, w, Jset)
+    sides = companion_sides(w)
 
     s, t = st_sequences(ht_table(w), Jset)
-    N = RankOneKisin(p, s, a)
-    P = RankOneKisin(p, t, b)
-    support = sorted(Jset - J0)
-    dim = len(support)
+    dim = len(Jset - J0)
 
-    def run_side(name, table, Jside, twist_vec):
-        ssd, tsd = st_sequences(table, Jside)
+    for side, Jside in zip(sides, fs.carriers):
+        name = side.name
+        twist_vec = tuple(1 if i in side.theta else 0 for i in range(f))
+        ssd, tsd = st_sequences(side.table, Jside)
         s_tw = tuple(si + gi for si, gi in zip(ssd, twist_vec))
         t_tw = tuple(ti + gi for ti, gi in zip(tsd, twist_vec))
-        side_support = sorted(embedding_set(f, Jside) - J0)
+        side_support = sorted(Jside - J0)
         if len(side_support) != dim:
             raise AssertionError(f"side {name}: parameter support size differs")
         N_side = RankOneKisin(p, s_tw, a)
@@ -564,13 +489,9 @@ def subspace_transport_audit(
                     raise AssertionError(f"side {name}: parameter at {i} misses the twist factor")
                 recovered.append(xi.unshift(twist_vec[i]))
             for i in range(f):
-                if i in set(side_support):
-                    continue
-                if not recovered[i].is_zero():
+                if i not in side_support and not recovered[i].is_zero():
                     raise AssertionError(f"side {name}: unexpected parameter at {i}")
-            got = tuple(
-                recovered[i].coefficient(0) for i in side_support
-            )
+            got = tuple(recovered[i].coefficient(0) for i in side_support)
             if any(not recovered[i].is_constant() for i in side_support):
                 raise AssertionError(f"side {name}: transported parameter is not constant")
             if got != values:
@@ -579,13 +500,4 @@ def subspace_transport_audit(
         if len(seen) != F.order**dim:
             raise AssertionError(f"side {name}: family size mismatch")
 
-    zero_twist = (0,) * f
-    run_side("base", bprime_table(w), fs.Jprime, zero_twist)
-    for mu in sorted(Mt):
-        twist = tuple(1 if i == mu else 0 for i in range(f))
-        run_side(f"marked{mu}", bmu_table(w, mu), fs.Jmu[mu], twist)
-    theta_twist = tuple(1 if i in Mt else 0 for i in range(f))
-    run_side("full", btheta_table(w), fs.Jtheta, theta_twist)
-
-    side_names = ("base", *[f"marked{mu}" for mu in sorted(Mt)], "full")
-    return TransportAuditReport(dim, F.order**dim, side_names)
+    return TransportAuditReport(dim, F.order**dim, tuple(side.name for side in sides))

@@ -23,16 +23,14 @@ from typing import Iterable, Mapping, Optional
 from .matching import DichotomyError
 from .rankone import decompose_cyclic
 from .weights import (
+    BlockDecomposition,
     HTWeightTable,
     Weight,
     blocks,
-    bmu_table,
-    bprime_table,
-    btheta_table,
+    companion_sides,
     ht_table,
     is_regular,
     set_J0,
-    set_Mtilde,
     validate_irregular,
 )
 
@@ -174,16 +172,16 @@ def _lift_in(J: QuadSet, i: int, f: int) -> int:
     return i if i in J else i + f
 
 
-def _witness(w: Weight, J: QuadSet, opposite_tail_at: frozenset[int]) -> QuadSet:
-    """Carrier for a companion table: on each block's trailing k=1 run, take
+def _witness(
+    f: int, J: QuadSet, J0: frozenset[int], bd: BlockDecomposition, theta: frozenset[int]
+) -> QuadSet:
+    """Carrier for a companion side: on each block's trailing k=1 run, take
     the lifts following the marked element's in-J lift (or the opposite lift
-    for the blocks listed in ``opposite_tail_at``)."""
-    f = w.f
-    J0 = set_J0(w)
+    for the blocks whose marked element is in the side's ``theta``)."""
     out = {q for q in J if q % f not in J0}
-    for blk in blocks(w).blocks:
+    for blk in bd.blocks:
         anchor = _lift_in(J, blk.nu, f)
-        if blk.nu in opposite_tail_at:
+        if blk.nu in theta:
             anchor = (anchor + f) % (2 * f)
         for n in range(1, len(blk.tail) + 1):
             out.add((anchor + n) % (2 * f))
@@ -205,23 +203,17 @@ def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
         return ForwardWitnesses(Jset, {}, Jset)
     validate_irregular(w)
 
-    base = _witness(w, Jset, frozenset())
-    mus = {
-        mu: _witness(w, Jset, frozenset({mu})) for mu in sorted(set_Mtilde(w))
-    }
-    theta = _witness(w, Jset, frozenset(set_Mtilde(w)))
-
+    J0, bd = set_J0(w), blocks(w)
     source_pair = induced_pair(ht_table(w), Jset)
-    for table, Jw in (
-        (bprime_table(w), base),
-        *((bmu_table(w, mu), mus[mu]) for mu in mus),
-        (btheta_table(w), theta),
-    ):
+    sides = companion_sides(w)
+    carriers = [_witness(f, Jset, J0, bd, side.theta) for side in sides]
+    for side, Jw in zip(sides, carriers):
         if not is_balanced(f, Jw):
             raise AssertionError("forward carrier is not balanced")
-        if induced_pair(table, Jw) != source_pair:
+        if induced_pair(side.table, Jw) != source_pair:
             raise AssertionError("forward carrier changed the character pair")
-    return ForwardWitnesses(base, mus, theta)
+    mus = {min(side.theta): Jw for side, Jw in zip(sides[1:-1], carriers[1:-1])}
+    return ForwardWitnesses(carriers[0], mus, carriers[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +258,19 @@ def irr_backward(
         raise ValueError("provide exactly one of mus or theta")
     _check_quad_dichotomy(w, Jp)
 
-    base_table = bprime_table(w)
-    base_pair = induced_pair(base_table, Jp)
+    base, *marked, full = companion_sides(w)
+    base_pair = induced_pair(base.table, Jp)
     if mus is not None:
-        marked = set_Mtilde(w)
-        if set(mus) != set(marked):
+        if set(mus) != {min(side.theta) for side in marked}:
             raise ValueError("need one carrier per marked index")
-        companions = [(bmu_table(w, mu), quad_set(f, Jmu)) for mu, Jmu in mus.items()]
+        companions = [(side, mus[min(side.theta)]) for side in marked]
     else:
-        companions = [(btheta_table(w), quad_set(f, theta))]
-    for table, Jc in companions:
+        companions = [(full, theta)]
+    for side, Jc in companions:
+        Jc = quad_set(f, Jc)
         if not is_balanced(f, Jc):
             raise ValueError("companion carriers must be balanced")
-        if induced_pair(table, Jc) != base_pair:
+        if induced_pair(side.table, Jc) != base_pair:
             raise ValueError("companion carrier induces a different character pair")
 
     out = Jp
@@ -322,9 +314,7 @@ def irr_equivalence_audit(w: Weight) -> IrrEquivalenceReport:
     mod = p ** (2 * f) - 1
 
     A_irr = _achievable(ht_table(w))
-    A_base = _achievable(bprime_table(w))
-    A_theta = _achievable(btheta_table(w))
-    A_mus = [_achievable(bmu_table(w, mu)) for mu in sorted(set_Mtilde(w))]
+    A_base, *A_mus, A_theta = [_achievable(side.table) for side in companion_sides(w)]
 
     def hits(A: frozenset[int], e: int) -> bool:
         return e in A or (e * p**f) % mod in A

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rankone import EmbeddingSet, ExtensionType, embedding_set
-from .field import FieldElem
+from .rankone import EmbeddingSet, embedding_set
 
 
 @dataclass(frozen=True)
@@ -145,22 +144,23 @@ def set_Mtilde2(w: Weight) -> EmbeddingSet:
     return frozenset(out)
 
 
-def _apply_h(k: list[int], i: int, f: int, p: int) -> None:
-    k[(i + 1) % f] += p
-    k[i] -= 1
-
-
-def _apply_theta(k: list[int], i: int, f: int, p: int) -> None:
-    k[(i + 1) % f] += p
-    k[i] += 1
+def _shifted(w: Weight, theta: EmbeddingSet, skip: EmbeddingSet) -> Weight:
+    """Apply theta (and twist by -1) at every index of theta, and h on M minus skip."""
+    p, f = w.p, w.f
+    k, l = list(w.k), list(w.l)
+    for i in theta:
+        k[(i + 1) % f] += p
+        k[i] += 1
+        l[i] -= 1
+    for i in set_M(w) - skip:
+        k[(i + 1) % f] += p
+        k[i] -= 1
+    return Weight(p, tuple(k), tuple(l))
 
 
 def weight_kprime(w: Weight) -> Weight:
     """The base companion weight: apply h at every index of M."""
-    k = list(w.k)
-    for i in set_M(w):
-        _apply_h(k, i, w.f, w.p)
-    return Weight(w.p, tuple(k), w.l)
+    return _shifted(w, frozenset(), frozenset())
 
 
 def weight_kmu(w: Weight, mu: int) -> Weight:
@@ -168,13 +168,7 @@ def weight_kmu(w: Weight, mu: int) -> Weight:
     mu %= w.f
     if mu not in set_Mtilde(w):
         raise ValueError(f"index {mu} is not marked")
-    k = list(w.k)
-    _apply_theta(k, mu, w.f, w.p)
-    for i in set_M(w) - {mu}:
-        _apply_h(k, i, w.f, w.p)
-    l = list(w.l)
-    l[mu] -= 1
-    return Weight(w.p, tuple(k), tuple(l))
+    return _shifted(w, frozenset({mu}), frozenset({mu}))
 
 
 def weight_ktheta(w: Weight, alternative: bool = False) -> Weight:
@@ -183,17 +177,8 @@ def weight_ktheta(w: Weight, alternative: bool = False) -> Weight:
     With ``alternative`` the h-shifts are skipped on all of Mtilde2 instead of
     just Mtilde.
     """
-    k = list(w.k)
     Mt = set_Mtilde(w)
-    skip = set_Mtilde2(w) if alternative else Mt
-    for i in Mt:
-        _apply_theta(k, i, w.f, w.p)
-    for i in set_M(w) - set(skip):
-        _apply_h(k, i, w.f, w.p)
-    l = list(w.l)
-    for i in Mt:
-        l[i] -= 1
-    return Weight(w.p, tuple(k), tuple(l))
+    return _shifted(w, Mt, set_Mtilde2(w) if alternative else Mt)
 
 
 def normalize_twist(w: Weight) -> tuple[Weight, tuple[int, ...]]:
@@ -211,67 +196,61 @@ def ht_table(w: Weight) -> HTWeightTable:
     return HTWeightTable(w.p, tuple((ki + li - 1, li) for ki, li in zip(w.k, w.l)))
 
 
-def bprime_table(w: Weight) -> HTWeightTable:
-    """Closed form of ht_table(weight_kprime(w)) for a valid irregular w."""
+@dataclass(frozen=True)
+class Side:
+    """One regular companion of an irregular weight: the theta-shift on theta, h on the rest."""
+
+    name: str
+    theta: EmbeddingSet
+    table: HTWeightTable
+
+
+def companion_sides(w: Weight) -> tuple[Side, ...]:
+    """The companions of a valid irregular w as sides theta of Mtilde.
+
+    Order: base (theta empty), marked{mu} for each mu ascending (theta =
+    {mu}), full (theta = Mtilde).  Side theta has the closed form of
+    ht_table(companion weight): rows (k_i-1, -1) on theta, (k_i-2, 0) on
+    Mtilde minus theta, (p-1, 0) on J0 and M, (p, 0) on J0 minus M and
+    (k_i-1, 0) elsewhere.
+    """
     p, k = w.p, w.k
     J0, M, Mt = set_J0(w), set_M(w), set_Mtilde(w)
-    rows = []
-    for i, ki in enumerate(k):
-        if i in Mt:
-            b1 = ki - 2
-        elif i in J0 and i in M:
-            b1 = p - 1
-        elif i in J0:
-            b1 = p
-        elif i not in M:
-            b1 = ki - 1
-        else:
-            raise ValueError("weight outside the valid irregular range")
-        rows.append((b1, 0))
-    return HTWeightTable(p, tuple(rows))
+
+    def side(name: str, theta: EmbeddingSet) -> Side:
+        rows = []
+        for i, ki in enumerate(k):
+            if i in theta:
+                rows.append((ki - 1, -1))
+            elif i in Mt:
+                rows.append((ki - 2, 0))
+            elif i in J0:
+                rows.append((p - 1 if i in M else p, 0))
+            else:
+                rows.append((ki - 1, 0))
+        return Side(name, theta, HTWeightTable(p, tuple(rows)))
+
+    marked = [side(f"marked{mu}", frozenset({mu})) for mu in sorted(Mt)]
+    return (side("base", frozenset()), *marked, side("full", Mt))
+
+
+def bprime_table(w: Weight) -> HTWeightTable:
+    """Closed form of ht_table(weight_kprime(w)) for a valid irregular w."""
+    return companion_sides(w)[0].table
 
 
 def bmu_table(w: Weight, mu: int) -> HTWeightTable:
     """Closed form of ht_table(weight_kmu(w, mu)) for a valid irregular w."""
-    p, k, f = w.p, w.k, w.f
-    mu %= f
-    J0, M, Mt = set_J0(w), set_M(w), set_Mtilde(w)
-    if mu not in Mt:
-        raise ValueError(f"index {mu} is not marked")
-    rows = []
-    for i, ki in enumerate(k):
-        b2 = -1 if i == mu else 0
-        if i == mu:
-            b1 = ki - 1
-        elif i in Mt:
-            b1 = ki - 2
-        elif i in J0 and i in M:
-            b1 = p - 1
-        elif i in J0:
-            b1 = p
-        elif i not in M:
-            b1 = ki - 1
-        else:
-            raise ValueError("weight outside the valid irregular range")
-        rows.append((b1, b2))
-    return HTWeightTable(p, tuple(rows))
+    mu %= w.f
+    for side in companion_sides(w)[1:-1]:
+        if mu in side.theta:
+            return side.table
+    raise ValueError(f"index {mu} is not marked")
 
 
 def btheta_table(w: Weight) -> HTWeightTable:
     """Closed form of ht_table(weight_ktheta(w)) for a valid irregular w."""
-    p, k = w.p, w.k
-    J0, M, Mt = set_J0(w), set_M(w), set_Mtilde(w)
-    rows = []
-    for i, ki in enumerate(k):
-        b2 = -1 if i in Mt else 0
-        if i in J0 and i in M:
-            b1 = p - 1
-        elif i in J0:
-            b1 = p
-        else:
-            b1 = ki - 1
-        rows.append((b1, b2))
-    return HTWeightTable(p, tuple(rows))
+    return companion_sides(w)[-1].table
 
 
 def st_sequences(
@@ -282,20 +261,6 @@ def st_sequences(
     s = tuple(b1 if i in Jset else b2 for i, (b1, b2) in enumerate(table.rows))
     t = tuple(b2 if i in Jset else b1 for i, (b1, b2) in enumerate(table.rows))
     return s, t
-
-
-def extension_type_of(
-    table: HTWeightTable, J: Sequence[int] | EmbeddingSet, a: FieldElem, b: FieldElem
-) -> ExtensionType:
-    """Extension type with r_i = b_1 - b_2 and the given carrier set.
-
-    Only valid when the table has b_2 = 0 everywhere (untwisted); otherwise
-    twist first so that the exponents are effective.
-    """
-    if any(b2 != 0 for _, b2 in table.rows):
-        raise ValueError("table is twisted; normalize before building a type")
-    r = tuple(b1 for b1, _ in table.rows)
-    return ExtensionType(table.p, r, a, b, embedding_set(table.f, J))
 
 
 # ---------------------------------------------------------------------------

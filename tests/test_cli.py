@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kisinweights import cli
 from kisinweights.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -172,3 +173,98 @@ def test_k_length_mismatch_refused(capsys, tmp_path, argv, p, f, k):
     doc = json.loads(out)
     assert doc["error"] == "invalid" and "weight entries" in doc["reason"]
     assert not list(tmp_path.iterdir())  # nothing cached
+
+
+LEMMA71 = ["verify", "--suite", "lemma71", "--p", "3", "--f", "2"]
+
+
+def cache_slot(tmp_path, capsys, argv):
+    """Run argv once with a fresh cache and return the one record file it wrote."""
+    run(capsys, *argv, "--cache", str(tmp_path))
+    (slot,) = tmp_path.iterdir()
+    return slot
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+@pytest.mark.parametrize(
+    "damaged",
+    ["{}", "[]", "garbage", '{"suite": "lemma71"', ""],
+    ids=["empty-object", "array", "text", "truncated", "empty-file"],
+)
+def test_verify_damaged_cache_record_is_a_miss(tmp_path, capsys, damaged, force):
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    good = json.loads(slot.read_text())
+    slot.write_text(damaged)
+    code, out = run(capsys, *LEMMA71, "--cache", str(tmp_path), *force)
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["cache"] == "miss" and doc["detail"] == good["detail"]
+    stored = json.loads(slot.read_text())
+    assert stored["outcome"] == "pass" and stored["detail"] == good["detail"]
+    _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    assert json.loads(out)["cache"] == "hit"
+
+
+def test_verify_foreign_cache_record_is_a_miss(tmp_path, capsys):
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    other = tmp_path / "other"
+    other.mkdir()
+    foreign = cache_slot(other, capsys, ["verify", "--suite", "alpha-id", "--p", "3", "--f", "2"])
+    slot.write_text(foreign.read_text())
+    code, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["cache"] == "miss"
+    assert doc["suite"] == "lemma71" and doc["detail"]["scanned"] == 49
+    assert json.loads(slot.read_text())["suite"] == "lemma71"
+
+
+def test_verify_cache_record_with_bad_outcome_is_a_miss(tmp_path, capsys):
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    record = json.loads(slot.read_text())
+    record["outcome"] = "maybe"
+    slot.write_text(json.dumps(record))
+    _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    doc = json.loads(out)
+    assert doc["cache"] == "miss" and doc["outcome"] == "pass"
+
+
+def broken(*args, **kwargs):
+    raise AssertionError("companion congruence failed")
+
+
+def test_verify_audit_assertion_is_a_fail(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "lemma71", broken)
+    code, out = run(capsys, *LEMMA71)
+    doc = json.loads(out)
+    assert code == EXIT_FAIL and doc["outcome"] == "fail"
+    assert doc["detail"] == {"reason": "companion congruence failed"}
+
+
+def test_match_audit_assertion_is_a_fail(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "forward_sets", broken)
+    code, out = run(capsys, "match", "--p", "3", "--f", "2", "--k", "3,1", "--j", "0")
+    assert code == EXIT_FAIL
+    assert json.loads(out) == {"error": "fail", "reason": "companion congruence failed"}
+
+
+def test_enumerate_out_file_matches_stdout(tmp_path, capsys):
+    _, full = run(capsys, "enumerate", "--p", "3", "--f", "3")
+    target = tmp_path / "units.jsonl"
+    code, out = run(capsys, "enumerate", "--p", "3", "--f", "3", "--out", str(target))
+    assert code == EXIT_OK and out == ""
+    assert target.read_text() == full
+    assert [json.loads(line)["unit"] for line in full.splitlines()] == list(range(len(full.splitlines())))
+
+
+def test_enumerate_streams_lines(monkeypatch, capsys):
+    # each unit's line is written before the next unit is computed: every
+    # forward_sets call after the first finds exactly one new line
+    seen = []
+    forward = cli.forward_sets
+
+    def spy(*args):
+        seen.append(capsys.readouterr().out.count("\n"))
+        return forward(*args)
+
+    monkeypatch.setattr(cli, "forward_sets", spy)
+    run(capsys, "enumerate", "--p", "3", "--f", "2")
+    assert seen == [0] + [1] * 7

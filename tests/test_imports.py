@@ -1,0 +1,33 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kisinweights"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_checker_sees_unused_and_used_names():
+    source = "import os\nimport sys as system\nfrom typing import Any, Optional\nx: Optional[int] = system.maxsize\n"
+    assert unused_imports(source) == ["Any (line 3)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

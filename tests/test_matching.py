@@ -8,7 +8,10 @@ from kisinweights.chars import InertialChar, SemisimpleShape, char_of_exponents
 from kisinweights.field import Context
 from kisinweights.matching import (
     DichotomyError,
+    ExceptionalReport,
     SubspaceDescriptor,
+    _expected_slopes,
+    _side_constraint,
     achievable_pairs,
     appendix_alpha_audit,
     backward_from_mus,
@@ -23,14 +26,21 @@ from kisinweights.matching import (
     subspace_dim,
     subspace_transport_audit,
 )
+from kisinweights.rankone import ExtensionType, exceptional_case
 from kisinweights.weights import (
     Weight,
+    blocks,
     bprime_table,
     btheta_table,
+    companion_sides,
     ht_table,
     set_J0,
+    set_Mtilde,
     st_sequences,
     validate_irregular,
+    weight_kmu,
+    weight_kprime,
+    weight_ktheta,
 )
 
 
@@ -155,3 +165,150 @@ def test_transport_audit_full():
                     report = subspace_transport_audit(ctx, w, J, a, b)
                     assert report.family_size == F.order**report.dim
                     assert report.dim == len(J - set_J0(w))
+
+
+# ---------------------------------------------------------------------------
+# one side abstraction against the per-side constructions it replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_SIZES = [(p, f) for p in (3, 5) for f in (1, 2, 3, 4)]
+
+
+def per_side_carriers(w, J):
+    """The three hand-written carrier loops: base, fully marked, marked."""
+    J0 = set_J0(w)
+    base = J - J0
+    Jp, Jth = set(base), set(base)
+    for blk in blocks(w).blocks:
+        if blk.nu in J:
+            Jp |= set(blk.tail)
+        else:
+            Jth |= set(blk.tail)
+    Jmu = {}
+    for mu in set_Mtilde(w):
+        Jm = set(base)
+        for blk in blocks(w).blocks:
+            follows = blk.nu in J
+            if blk.nu == mu:
+                follows = not follows
+            if follows:
+                Jm |= set(blk.tail)
+        Jmu[mu] = frozenset(Jm)
+    return frozenset(Jp), frozenset(Jth), Jmu
+
+
+def per_side_slopes(w, Jp, Jth, Jmu):
+    """The six hand-written slope tables (s and t of base, full and each marked side)."""
+    f = w.f
+    J0, Mt = set_J0(w), set_Mtilde(w)
+    nxt = lambda i: (i + 1) % f
+    out = {
+        "base/s": [1 if (i in Mt and i in Jp) or (i in J0 and i in Jp and nxt(i) in J0) else 0 for i in range(f)],
+        "base/t": [1 if (i in Mt and i not in Jp) or (i in J0 and i not in Jp and nxt(i) in J0) else 0 for i in range(f)],
+        "full/s": [1 if (i in Mt and i not in Jth) or (i in J0 and i in Jth and nxt(i) in J0) else 0 for i in range(f)],
+        "full/t": [1 if (i in Mt and i in Jth) or (i in J0 and i not in Jth and nxt(i) in J0) else 0 for i in range(f)],
+    }
+    for mu, Jm in Jmu.items():
+        out[f"marked{mu}/s"] = [
+            1
+            if (i in Mt and i != mu and i in Jm) or (i == mu and i not in Jm) or (i in J0 and i in Jm and nxt(i) in J0)
+            else 0
+            for i in range(f)
+        ]
+        out[f"marked{mu}/t"] = [
+            1
+            if (i in Mt and i != mu and i not in Jm) or (i == mu and i in Jm) or (i in J0 and i not in Jm and nxt(i) in J0)
+            else 0
+            for i in range(f)
+        ]
+    return out
+
+
+def test_side_carriers_and_slopes_match_per_side_oracles():
+    for p, f in ORACLE_SIZES:
+        ctx = Context(p, f, 1)
+        for w in valid_weights(p, f):
+            J0, Mt = set_J0(w), set_Mtilde(w)
+            sides = companion_sides(w)
+            for J in subsets(f):
+                fs = forward_sets(ctx, w, J)
+                Jp, Jth, Jmu = per_side_carriers(w, J)
+                assert (fs.Jprime, fs.Jtheta, fs.Jmu) == (Jp, Jth, Jmu), (w.k, J)
+                want = per_side_slopes(w, Jp, Jth, Jmu)
+                got = {}
+                for side, Jside in zip(sides, fs.carriers):
+                    for upper, half in ((True, "s"), (False, "t")):
+                        got[f"{side.name}/{half}"] = _expected_slopes(f, J0, Mt, side.theta, Jside, upper)
+                assert got == want, (w.k, J)
+
+
+def test_forward_carriers_line_up_with_sides():
+    for p, f in ORACLE_SIZES:
+        ctx = Context(p, f, 1)
+        for w in valid_weights(p, f):
+            sides = companion_sides(w)
+            Mt = set_Mtilde(w)
+            assert [s.name for s in sides] == ["base", *[f"marked{mu}" for mu in sorted(Mt)], "full"]
+            assert [s.theta for s in sides] == [frozenset(), *[{mu} for mu in sorted(Mt)], Mt]
+            for J in subsets(f):
+                fs = forward_sets(ctx, w, J)
+                assert len(fs.carriers) == len(sides)
+                assert fs.carriers[0] == fs.Jprime and fs.carriers[-1] == fs.Jtheta
+                assert list(fs.carriers[1:-1]) == [fs.Jmu[mu] for mu in sorted(Mt)]
+
+
+def per_side_constraints(w):
+    """(name, table, constraint) per side, with the per-side carrier rules: the
+    base side's tails follow their marked element on every block; a marked
+    side's tail takes the opposite side on its own block only; the full
+    side's on every block."""
+    blk_tails = [(blk.nu, blk.tail) for blk in blocks(w).blocks]
+
+    def prime(tails, J):
+        return all((nu in J and all(i in J for i in t)) or (nu not in J and all(i not in J for i in t)) for nu, t in tails)
+
+    def marked(tails, J):
+        return all((nu in J and all(i not in J for i in t)) or (nu not in J and all(i in J for i in t)) for nu, t in tails)
+
+    sides = [("base", ht_table(weight_kprime(w)), lambda J: prime(blk_tails, J))]
+    for mu in sorted(set_Mtilde(w)):
+        own = [(nu, t) for nu, t in blk_tails if nu == mu]
+        sides.append((f"marked{mu}", ht_table(weight_kmu(w, mu)), lambda J, own=own: marked(own, J)))
+    sides.append(("full", ht_table(weight_ktheta(w)), lambda J: marked(blk_tails, J)))
+    return sides
+
+
+def per_side_exceptional_report(ctx, w):
+    one = ctx.coefficient_field().one
+    irregular = tuple(
+        J for J in subsets(w.f)
+        if exceptional_case(ExtensionType(ctx.p, tuple(ki - 1 for ki in w.k), one, one, J))
+    )
+    constrained, unconstrained = [], []
+    for name, table, constraint in per_side_constraints(w):
+        for J in subsets(w.f):
+            if exceptional_case(ExtensionType(ctx.p, table.gaps(), one, one, J)):
+                (constrained if constraint(J) else unconstrained).append((name, J))
+    return ExceptionalReport(irregular, tuple(constrained), tuple(unconstrained))
+
+
+def test_exceptional_report_matches_per_side_oracle():
+    hits = 0
+    for p, f in ORACLE_SIZES:
+        ctx = Context(p, f, 1)
+        for w in valid_weights(p, f):
+            report = exceptional_audit(ctx, w)
+            assert report == per_side_exceptional_report(ctx, w), w.k
+            hits += len(report.unconstrained_hits)
+    assert hits > 0
+
+
+def test_side_constraint_matches_per_side_rules():
+    # also on carriers with no exceptional hit, where the report cannot tell
+    for p, f in ((3, 4), (3, 5), (5, 4)):
+        for w in valid_weights(p, f):
+            bd = blocks(w)
+            for side, (name, _, constraint) in zip(companion_sides(w), per_side_constraints(w)):
+                assert side.name == name
+                for J in subsets(f):
+                    assert _side_constraint(bd, side.theta, J) == constraint(J), (w.k, name, J)

@@ -10,6 +10,7 @@ from kisinweights.weights import (
     bmu_table,
     bprime_table,
     btheta_table,
+    companion_sides,
     ht_table,
     is_regular,
     normalize_twist,
@@ -169,3 +170,25 @@ def test_normalize_twist():
 def test_is_regular():
     assert is_regular(Weight(3, (2, 3)))
     assert not is_regular(Weight(3, (3, 1)))
+
+
+def test_companion_sides_match_construction():
+    for p in (3, 5, 7):
+        for f in (1, 2, 3, 4):
+            for w in valid_weights(p, f):
+                Mt = sorted(set_Mtilde(w))
+                sides = companion_sides(w)
+                assert [s.name for s in sides] == ["base", *[f"marked{mu}" for mu in Mt], "full"]
+                assert [s.theta for s in sides] == [set(), *[{mu} for mu in Mt], set(Mt)]
+                assert [s.table for s in sides] == [
+                    ht_table(weight_kprime(w)),
+                    *[ht_table(weight_kmu(w, mu)) for mu in Mt],
+                    ht_table(weight_ktheta(w)),
+                ]
+
+
+def test_bmu_table_refuses_unmarked_index():
+    w = Weight(7, (1, 5, 1, 4))
+    assert bmu_table(w, 5) == bmu_table(w, 1)  # indices are taken mod f
+    with pytest.raises(ValueError, match="not marked"):
+        bmu_table(w, 0)
