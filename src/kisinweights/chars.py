@@ -101,6 +101,12 @@ def extend_to_quadratic(a: InertialChar) -> InertialChar:
     return InertialChar(a.p, a.f, 2, a.exponent * (a.p**a.f + 1))
 
 
+def frobenius_stable(p: int, f: int, e: int) -> bool:
+    """Whether e * p^f = e mod p^(2f) - 1: as p^(2f) - 1 = (p^f - 1)(p^f + 1),
+    exactly when p^f + 1 divides e, which p^f - 1 of the classes do."""
+    return e % (p**f + 1) == 0
+
+
 def is_irreducible_pair(a: InertialChar) -> bool:
     """Whether a niveau-2 character and its p^f-power conjugate are distinct.
 
@@ -109,7 +115,7 @@ def is_irreducible_pair(a: InertialChar) -> bool:
     """
     if a.niveau != 2:
         raise ValueError("irreducibility test applies to niveau-2 characters")
-    return (a.exponent * a.p**a.f - a.exponent) % a.modulus != 0
+    return not frobenius_stable(a.p, a.f, a.exponent)
 
 
 def conjugate_pair(a: InertialChar) -> tuple[InertialChar, InertialChar]:

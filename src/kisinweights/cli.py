@@ -57,6 +57,7 @@ from .rankone import (
     RankOneKisin,
     alpha,
     decompose_cyclic,
+    embedding_subsets,
     hom_exists,
     necessary_map_conditions,
     tS_iso,
@@ -310,11 +311,6 @@ def _valid_weights(p: int, f: int) -> Iterator[Weight]:
         yield w
 
 
-def _subsets(f: int) -> Iterator[frozenset[int]]:
-    for mask in range(1 << f):
-        yield frozenset(i for i in range(f) if mask >> i & 1)
-
-
 def suite_lemma71(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     p, f = ctx.p, ctx.f
     scanned = congruent = 0
@@ -334,7 +330,7 @@ def suite_pprime(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     one = ctx.coefficient_field().one
     checked = 0
     for r in itertools.product(range(p + 1), repeat=f):
-        for J in _subsets(f):
+        for J in embedding_subsets(f):
             h = tuple(ri if i in J else 0 for i, ri in enumerate(r))
             rem = tuple(ri - hi for ri, hi in zip(r, h))
             if hom_exists(RankOneKisin(p, h, one), RankOneKisin(p, rem, one)):
@@ -360,7 +356,7 @@ def suite_alpha_id(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 def suite_alpha_tables(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     checked = 0
     for w in _valid_weights(ctx.p, ctx.f):
-        for J in _subsets(ctx.f):
+        for J in embedding_subsets(ctx.f):
             appendix_alpha_audit(ctx, w, J)
             checked += 1
     return {"outcome": "pass", "configurations": checked}
@@ -386,8 +382,6 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    if k is None:
-        raise ValueError("suite needs --k")
     report = semisimple_equivalence_audit(ctx, Weight(ctx.p, k))
     if report.ok:
         return {"outcome": "pass", "pairs": report.total}
@@ -395,12 +389,10 @@ def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    if k is None:
-        raise ValueError("suite needs --k")
     w = Weight(ctx.p, k)
     F = ctx.coefficient_field()
     families = 0
-    for J in _subsets(ctx.f):
+    for J in embedding_subsets(ctx.f):
         for a in F.units():
             for b in F.units():
                 report = subspace_transport_audit(ctx, w, J, a, b)
@@ -429,7 +421,7 @@ def suite_dims(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     checked = 0
     for w in _valid_weights(ctx.p, ctx.f):
         J0 = set_J0(w)
-        for J in _subsets(ctx.f):
+        for J in embedding_subsets(ctx.f):
             s, t = st_sequences(ht_table(w), J)
             for a in F.units():
                 for b in F.units():
@@ -459,8 +451,12 @@ SUITES = {
     "dims": suite_dims,
 }
 
+# Suites that audit the weight given by --k; the first two need one.
+NEEDS_K = frozenset({"semisimple-equiv", "transport"})
+WEIGHT_SUITES = NEEDS_K | {"irr-equiv"}
 
-OUTCOMES = ("pass", "fail", "refused")
+
+EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_FAIL, "refused": EXIT_USAGE}
 RECORD_FIELDS = frozenset({"suite", "params", "outcome", "detail"})
 
 
@@ -511,7 +507,7 @@ def _read_record(path: str, suite: str, params: dict) -> Optional[dict]:
         return None
     if not isinstance(doc, dict) or not RECORD_FIELDS <= doc.keys():
         return None
-    if doc["outcome"] not in OUTCOMES or not isinstance(doc["detail"], dict):
+    if doc["outcome"] not in EXIT_CODES or not isinstance(doc["detail"], dict):
         return None
     return doc if doc["suite"] == suite and doc["params"] == jsonable(params) else None
 
@@ -523,14 +519,22 @@ def _stable_view(record_doc: dict) -> dict:
 
 
 def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> VerificationRecord:
+    """Refuse input the suite cannot take (a missing --k, an invalid weight);
+    an error the suite itself raises is a failure."""
     params = {"p": ctx.p, "f": ctx.f, "d": ctx.d, "k": list(k) if k else None}
     start = time.monotonic()
     try:
-        result = SUITES[suite](ctx, k)
+        if k is None and suite in NEEDS_K:
+            raise ValueError("suite needs --k")
+        if k is not None and suite in WEIGHT_SUITES:
+            validate_irregular(Weight(ctx.p, k))
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
-    except AssertionError as err:
-        result = {"outcome": "fail", "reason": str(err)}
+    else:
+        try:
+            result = SUITES[suite](ctx, k)
+        except (ValueError, AssertionError) as err:
+            result = {"outcome": "fail", "reason": str(err)}
     elapsed = int((time.monotonic() - start) * 1000)
     outcome = result.pop("outcome")
     return VerificationRecord(suite, params, outcome, result, elapsed, _fingerprint())
@@ -566,12 +570,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _atomic_write(cache_path, json.dumps(stored, sort_keys=True, indent=2) + "\n")
 
     _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    outcome = doc["outcome"]
-    if outcome == "pass":
-        return EXIT_OK
-    if outcome == "fail":
-        return EXIT_FAIL
-    return EXIT_USAGE
+    return EXIT_CODES[doc["outcome"]]
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +584,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     def lines() -> Iterator[str]:
         weights = sorted(_valid_weights(ctx.p, ctx.f), key=lambda w: w.k)
-        for unit, (w, J) in enumerate(itertools.product(weights, _subsets(ctx.f))):
+        for unit, (w, J) in enumerate(itertools.product(weights, embedding_subsets(ctx.f))):
             if unit % shard_n != shard_i:
                 continue
             fs = forward_sets(ctx, w, J)

@@ -23,6 +23,7 @@ from .rankone import (
     RankOneKisin,
     alpha_seq,
     embedding_set,
+    embedding_subsets,
     exceptional_case,
 )
 from .ranktwo import (
@@ -94,9 +95,7 @@ def shape_search(
 ) -> list[ShapeWitness]:
     """All carrier sets whose split sequences realize the ordered pair (chi1, chi2)."""
     out = []
-    f = table.f
-    for mask in range(1 << f):
-        J = frozenset(i for i in range(f) if mask >> i & 1)
+    for J in embedding_subsets(table.f):
         s, t = st_sequences(table, J)
         cs, ct = char_of_exponents(ctx, s), char_of_exponents(ctx, t)
         if cs == chi1 and ct == chi2:
@@ -114,9 +113,7 @@ def semisimple_decide(ctx: Context, shape: SemisimpleShape, table: HTWeightTable
 def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[int]]:
     """All unordered character-exponent pairs realized by carrier sets of a table."""
     out = set()
-    f = table.f
-    for mask in range(1 << f):
-        J = frozenset(i for i in range(f) if mask >> i & 1)
+    for J in embedding_subsets(table.f):
         s, t = st_sequences(table, J)
         e1 = char_of_exponents(ctx, s).exponent
         e2 = char_of_exponents(ctx, t).exponent
@@ -241,7 +238,7 @@ def backward_from_mus(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of an exhaustive equivalence check over all character pairs."""
+    """Outcome of an equivalence check over all character pairs."""
 
     total: int
     agreements: int
@@ -252,28 +249,29 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
-def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:
-    """Check, over all ordered character pairs, that shape membership for the
-    irregular weight agrees with membership for both companion systems."""
-    validate_irregular(w)
-    A = achievable_pairs(ctx, ht_table(w))
-    Ap, *Amu, Ath = [achievable_pairs(ctx, side.table) for side in companion_sides(w)]
-    m = ctx.m1
+def _pair_report(m: int, A: frozenset, side_sets: Sequence[frozenset]) -> EquivalenceReport:
+    """Verdict over all m^2 ordered pairs mod m, given the achievable pairs of
+    the irregular table and of each side.  A pair no table achieves is in no
+    shape and so agrees: only the union's pairs are evaluated, ascending."""
+    Ap, *Amu, Ath = side_sets
+    union = A.union(*side_sets)
     bad = []
-    total = 0
-    agreements = 0
-    for e1 in range(m):
-        for e2 in range(m):
-            total += 1
-            pair = frozenset((e1, e2))
-            a = pair in A
-            b = pair in Ap and pair in Ath
-            c = pair in Ap and all(pair in am for am in Amu)
-            if a == b == c:
-                agreements += 1
-            else:
-                bad.append((e1, e2, a, b, c))
-    return EquivalenceReport(total, agreements, tuple(bad))
+    for e1, e2 in sorted((x, y) for pair in union for x in pair for y in pair if {x, y} == pair):
+        pair = frozenset((e1, e2))
+        a = pair in A
+        b = pair in Ap and pair in Ath
+        c = pair in Ap and all(pair in am for am in Amu)
+        if not a == b == c:
+            bad.append((e1, e2, a, b, c))
+    return EquivalenceReport(m * m, m * m - len(bad), tuple(bad))
+
+
+def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:
+    """Check, over all (p^f-1)^2 ordered character pairs, that shape membership
+    for the irregular weight agrees with membership for both companion systems."""
+    validate_irregular(w)
+    side_sets = [achievable_pairs(ctx, side.table) for side in companion_sides(w)]
+    return _pair_report(ctx.m1, achievable_pairs(ctx, ht_table(w)), side_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +395,9 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
     the constraints can produce hits, which are reported separately.
     """
     validate_irregular(w)
-    f = w.f
     one = ctx.coefficient_field().one
     bd = blocks(w)
-    subsets = [frozenset(i for i in range(f) if mask >> i & 1) for mask in range(1 << f)]
+    subsets = embedding_subsets(w.f)
 
     r = tuple(ki - 1 for ki in w.k)
     irregular_hits = [

@@ -10,16 +10,17 @@ are the ones whose two induced characters form a conjugate (p^f-power) pair.
 This module provides the rebalancing algorithm turning an arbitrary carrier
 with conjugate-symmetric characters into a balanced one, the forward carrier
 rewritings from an irregular weight to its regular companion weights, the
-backward reconstruction, and the exhaustive equivalence audit over niveau-2
-character exponents.
+backward reconstruction, and the equivalence audit over niveau-2 character
+exponents.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
+from .chars import frobenius_stable
 from .matching import DichotomyError
 from .rankone import decompose_cyclic
 from .weights import (
@@ -301,33 +302,37 @@ def _achievable(table: HTWeightTable) -> frozenset[int]:
     return frozenset(char_exponent(table, J) for J in balanced_sets(table.f))
 
 
-def irr_equivalence_audit(w: Weight) -> IrrEquivalenceReport:
-    """Exhaustive equivalence over niveau-2 character exponents.
-
-    For every exponent e mod p^{2f}-1 whose conjugate p^f * e differs from e,
-    check: a balanced carrier for the irregular table hits {e, p^f e} iff the
-    base table and the fully marked table both do, iff the base table and
-    every per-marked-index table do.
-    """
-    validate_irregular(w)
-    p, f = w.p, w.f
+def _exponent_report(
+    p: int, f: int, k: tuple[int, ...], A_irr: frozenset[int], side_sets: Sequence[frozenset[int]]
+) -> IrrEquivalenceReport:
+    """Verdict over the p^{2f} - p^f exponents mod p^{2f}-1 that are not
+    Frobenius-stable, given the achievable exponents of the irregular table
+    and of each side.  A table hits e when it achieves e or p^f e, so an
+    exponent off the union of the sets and their conjugates agrees: only that
+    union is evaluated, ascending."""
     mod = p ** (2 * f) - 1
-
-    A_irr = _achievable(ht_table(w))
-    A_base, *A_mus, A_theta = [_achievable(side.table) for side in companion_sides(w)]
+    A_base, *A_mus, A_theta = side_sets
 
     def hits(A: frozenset[int], e: int) -> bool:
         return e in A or (e * p**f) % mod in A
 
+    union = A_irr.union(*side_sets)
+    closed = union | {(u * p**f) % mod for u in union}
     bad = []
-    checked = 0
-    for e in range(mod):
-        if (e * p**f - e) % mod == 0:
-            continue
-        checked += 1
+    for e in sorted(e for e in closed if not frobenius_stable(p, f, e)):
         has_irr = hits(A_irr, e)
         has_theta_route = hits(A_base, e) and hits(A_theta, e)
         has_mu_route = hits(A_base, e) and all(hits(A, e) for A in A_mus)
         if not (has_irr == has_theta_route == has_mu_route):
             bad.append(e)
-    return IrrEquivalenceReport(p, f, w.k, checked, tuple(bad))
+    return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(bad))
+
+
+def irr_equivalence_audit(w: Weight) -> IrrEquivalenceReport:
+    """Equivalence over the niveau-2 character exponents e with p^f e != e:
+    a balanced carrier for the irregular table hits {e, p^f e} iff the base
+    table and the fully marked table both do, iff the base table and every
+    per-marked-index table do."""
+    validate_irregular(w)
+    side_sets = [_achievable(side.table) for side in companion_sides(w)]
+    return _exponent_report(w.p, w.f, w.k, _achievable(ht_table(w)), side_sets)

@@ -24,6 +24,11 @@ def embedding_set(f: int, members: Iterable[int]) -> EmbeddingSet:
     return frozenset(i % f for i in members)
 
 
+def embedding_subsets(f: int) -> list[EmbeddingSet]:
+    """All 2^f subsets of Z/f, in the order of their bit masks."""
+    return [frozenset(i for i in range(f) if mask >> i & 1) for mask in range(1 << f)]
+
+
 @dataclass(frozen=True)
 class RankOneKisin:
     """Rank-one module: exponents r_i and a unit scalar a."""
@@ -380,8 +385,7 @@ def jmax(p: int, r: Sequence[int], J: Iterable[int]) -> EmbeddingSet:
     Jset = embedding_set(f, J)
     target = carrier_weight(p, r, Jset)
     found: list[EmbeddingSet] = []
-    for mask in range(1 << f):
-        cand = frozenset(i for i in range(f) if mask >> i & 1)
+    for cand in embedding_subsets(f):
         if any(r[i] == 0 for i in cand):
             continue
         if carrier_weight(p, r, cand) != target:

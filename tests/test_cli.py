@@ -268,3 +268,51 @@ def test_enumerate_streams_lines(monkeypatch, capsys):
     monkeypatch.setattr(cli, "forward_sets", spy)
     run(capsys, "enumerate", "--p", "3", "--f", "2")
     assert seen == [0] + [1] * 7
+
+
+def internal_error(*args, **kwargs):
+    raise ValueError("jmax is not unique")
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("decompose_cyclic", LEMMA71),
+        ("irr_equivalence_audit", ["verify", "--suite", "irr-equiv", "--p", "3", "--f", "2", "--k", "3,1"]),
+    ],
+)
+def test_verify_internal_value_error_is_a_fail(monkeypatch, capsys, target, argv):
+    monkeypatch.setattr(cli, target, internal_error)
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == EXIT_FAIL and doc["outcome"] == "fail"
+    assert doc["detail"] == {"reason": "jmax is not unique"}
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["--suite", "transport", "--p", "3", "--f", "2"], "suite needs --k"),
+        (["--suite", "transport", "--p", "3", "--f", "2", "--k", "3,3"], "weight is regular (no k_i = 1)"),
+        (["--suite", "irr-equiv", "--p", "5", "--f", "2", "--k", "2,1"], "forbidden (2,1) pattern at index 0"),
+        (["--suite", "semisimple-equiv", "--p", "3", "--f", "2", "--k", "4,1"], "entries of k must lie in [1, 3]"),
+    ],
+)
+def test_verify_bad_weight_refused_before_the_audit(monkeypatch, capsys, argv, reason):
+    for name in ("semisimple_equivalence_audit", "subspace_transport_audit", "irr_equivalence_audit"):
+        monkeypatch.setattr(cli, name, broken)
+    code, out = run(capsys, "verify", *argv)
+    doc = json.loads(out)
+    assert code == EXIT_USAGE and doc["outcome"] == "refused"
+    assert doc["detail"] == {"reason": reason}
+
+
+def test_equivalence_suites_at_p7_f4(capsys):
+    code, out = run(capsys, "verify", "--suite", "irr-equiv", "--p", "7", "--f", "4")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["outcome"] == "pass"
+    assert doc["detail"] == {"weights": 910, "exponents_checked": 910 * (7**8 - 7**4)}
+    code, out = run(capsys, "verify", "--suite", "semisimple-equiv", "--p", "7", "--f", "4", "--k", "1,3,4,5")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["outcome"] == "pass"
+    assert doc["detail"] == {"pairs": 2400**2}
