@@ -4,13 +4,14 @@ Given an irregular weight and a carrier set J, this module builds the
 companion carrier sets on the regular side, verifies the defining weighted
 congruences and slope tables, reconstructs J from companion data (with the
 per-block dichotomy as precondition), decides semisimple shape membership,
-and audits the extension-space transports exhaustively over small parameter
-families.
+and audits the extension-space transports.  The transport checks are
+additive in the parameter vector and invariant under the shared scalars, so
+the audit transports an F_p-basis of each family at one unit pair per
+carrier set (see subspace_transport_audit).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -55,25 +56,6 @@ class ShapeWitness:
 
     J: EmbeddingSet
     swapped: bool
-
-
-@dataclass(frozen=True)
-class SubspaceDescriptor:
-    """Data determining the size of an extension parameter family."""
-
-    J: EmbeddingSet
-    J0: EmbeddingSet
-    same_character: bool
-
-
-def subspace_dim(desc: SubspaceDescriptor) -> int:
-    """Dimension |J minus (J intersect J0)|, plus one when the two characters agree."""
-    return len(desc.J - (desc.J & desc.J0)) + (1 if desc.same_character else 0)
-
-
-def param_count(desc: SubspaceDescriptor, field: FiniteField) -> int:
-    """Number of elements of the parameter family over the coefficient field."""
-    return field.order ** subspace_dim(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +424,31 @@ def _constant_vector(F: FiniteField, f: int, support: Sequence[int], values: Seq
 def subspace_transport_audit(
     ctx: Context, w: Weight, J: Iterable[int], a: FieldElem, b: FieldElem
 ) -> TransportAuditReport:
-    """Exhaustively transport each companion parameter family onto the irregular one.
+    """Transport each companion parameter family onto the irregular one.
 
-    For every companion side and every parameter vector, the transported
-    extension must be the (suitably twisted) irregular extension with the
-    identical constant parameters; raises on any failure.
+    A side's family is the |F|^dim constant parameter vectors x on its
+    carrier off J0.  Each transported extension must be the twisted
+    irregular extension with the same parameters; raises on any failure.
+    Only the zero vector and the F_p-basis e_j*X^i (X^i = F.elem(p**i),
+    0 <= i < d) are transported.  Two arguments make that a proof for the
+    whole family and for every unit pair.
+
+    Additivity.  The hom exponents and the diagonal morphism g depend on the
+    exponents and scalars of the lines, not on x.  With them fixed, every
+    check is additive in x: transport_forward shifts x_i by u^(cP_i); each
+    of the 4f identities of check_phi_morphism is a sum of terms linear in
+    x, in poly_phi of entries of g, or in both; unshift, coefficient(0) and
+    == are additive; and the obstruction test asks only which x_i are
+    nonzero.  So the passing vectors form an F_p-subspace, and the basis
+    spans the family.  Passing means the recovered parameters equal x, so
+    the transport is injective and the family size is |F|^dim.  The values
+    X^i matter: 1^p = 1, so a basis e_j*1 cannot see a Frobenius-type bug.
+
+    Scalar invariance.  Source and target share a and b, so the hom
+    exponents (_hom_twist compares the scalars, then only the exponents)
+    and g do not depend on them.  At index 0 each identity carries the same
+    scalar on both sides, and its x-terms carry none.  So one unit pair
+    stands for all (|F|-1)^2 of them.
     """
     validate_irregular(w)
     f, p = w.f, ctx.p
@@ -458,6 +460,9 @@ def subspace_transport_audit(
 
     s, t = st_sequences(ht_table(w), Jset)
     dim = len(Jset - J0)
+    zero = (F.zero,) * dim
+    basis = [F.elem(p**i) for i in range(F.d)]
+    vectors = [zero] + [zero[:j] + (c,) + zero[j + 1 :] for j in range(dim) for c in basis]
 
     for side, Jside in zip(sides, fs.carriers):
         name = side.name
@@ -472,8 +477,7 @@ def subspace_transport_audit(
         P_side = RankOneKisin(p, t_tw, b)
         N_tgt = RankOneKisin(p, tuple(si + gi for si, gi in zip(s, twist_vec)), a)
         P_tgt = RankOneKisin(p, tuple(ti + gi for ti, gi in zip(t, twist_vec)), b)
-        seen = set()
-        for values in itertools.product(list(F.elements()), repeat=dim):
+        for values in vectors:
             M_side = PhiExtension(N_side, P_side, _constant_vector(F, f, side_support, values))
             M_tgt, g = transport_forward(M_side, N_tgt, P_tgt)
             if not generically_invertible(g):
@@ -493,8 +497,5 @@ def subspace_transport_audit(
                 raise AssertionError(f"side {name}: transported parameter is not constant")
             if got != values:
                 raise AssertionError(f"side {name}: parameters changed under transport")
-            seen.add(got)
-        if len(seen) != F.order**dim:
-            raise AssertionError(f"side {name}: family size mismatch")
 
     return TransportAuditReport(dim, F.order**dim, tuple(side.name for side in sides))

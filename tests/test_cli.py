@@ -80,9 +80,10 @@ def test_verify_pass_and_unknown(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["outcome"] == "pass" and doc["detail"]["scanned"] == 49
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "verify", "--suite", "bogus", "--p", "3", "--f", "2")
-    assert exc.value.code == EXIT_USAGE
+    for suite in ("bogus", "dims"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--suite", suite, "--p", "3", "--f", "2")
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_verify_refusal(capsys):
@@ -316,3 +317,11 @@ def test_equivalence_suites_at_p7_f4(capsys):
     doc = json.loads(out)
     assert code == EXIT_OK and doc["outcome"] == "pass"
     assert doc["detail"] == {"pairs": 2400**2}
+
+
+@pytest.mark.parametrize("p,families", [(5, 13824), (7, 55296)])
+def test_transport_at_d2(capsys, p, families):
+    code, out = run(capsys, "verify", "--suite", "transport", "--p", str(p), "--f", "3", "--d", "2", "--k", "1,3,4")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["outcome"] == "pass"
+    assert doc["detail"] == {"families_transported": families}

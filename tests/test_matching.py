@@ -9,7 +9,6 @@ from kisinweights.field import Context
 from kisinweights.matching import (
     DichotomyError,
     ExceptionalReport,
-    SubspaceDescriptor,
     _expected_slopes,
     _side_constraint,
     achievable_pairs,
@@ -19,11 +18,9 @@ from kisinweights.matching import (
     check_congruence,
     exceptional_audit,
     forward_sets,
-    param_count,
     semisimple_decide,
     semisimple_equivalence_audit,
     shape_search,
-    subspace_dim,
     subspace_transport_audit,
 )
 from kisinweights.rankone import ExtensionType, exceptional_case
@@ -144,15 +141,6 @@ def test_exceptional_audit():
         seen_unconstrained += len(report.unconstrained_hits)
     # dropping the carrier constraints does produce exceptional hits
     assert seen_unconstrained > 0
-
-
-def test_subspace_descriptor():
-    desc = SubspaceDescriptor(frozenset({0, 1}), frozenset({1}), same_character=False)
-    assert subspace_dim(desc) == 1
-    desc2 = SubspaceDescriptor(frozenset({0, 1}), frozenset({1}), same_character=True)
-    assert subspace_dim(desc2) == 2
-    ctx = Context(3, 2, 1)
-    assert param_count(desc2, ctx.coefficient_field()) == 9
 
 
 def test_transport_audit_full():
