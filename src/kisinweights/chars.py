@@ -69,28 +69,6 @@ def char_of_exponents(ctx: Context, exps: Sequence[int], niveau: int = 1) -> Ine
     return InertialChar(ctx.p, ctx.f, niveau, total)
 
 
-def char_mul(a: InertialChar, b: InertialChar) -> InertialChar:
-    if (a.p, a.f, a.niveau) != (b.p, b.f, b.niveau):
-        raise ValueError("characters live on different groups")
-    return InertialChar(a.p, a.f, a.niveau, a.exponent + b.exponent)
-
-
-def char_inv(a: InertialChar) -> InertialChar:
-    return InertialChar(a.p, a.f, a.niveau, -a.exponent)
-
-
-def char_eq(a: InertialChar, b: InertialChar) -> bool:
-    return (
-        (a.p, a.f, a.niveau) == (b.p, b.f, b.niveau)
-        and a.exponent % a.modulus == b.exponent % b.modulus
-    )
-
-
-def frobenius_twist(a: InertialChar, steps: int = 1) -> InertialChar:
-    """Compose with Frobenius ``steps`` times: exponent scales by p^steps."""
-    return InertialChar(a.p, a.f, a.niveau, a.exponent * pow(a.p, steps, a.modulus))
-
-
 def extend_to_quadratic(a: InertialChar) -> InertialChar:
     """Inflate a niveau-1 character to niveau 2.
 
@@ -117,7 +95,3 @@ def is_irreducible_pair(a: InertialChar) -> bool:
         raise ValueError("irreducibility test applies to niveau-2 characters")
     return not frobenius_stable(a.p, a.f, a.exponent)
 
-
-def conjugate_pair(a: InertialChar) -> tuple[InertialChar, InertialChar]:
-    """A niveau-2 character together with its p^f-power conjugate."""
-    return a, frobenius_twist(a, a.f)

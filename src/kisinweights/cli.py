@@ -109,15 +109,6 @@ def jsonable(x: Any) -> Any:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def decode_int(x: Any) -> int:
-    """Inverse of the big-integer encoding."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        return int(x)
-    raise TypeError(f"not an encoded integer: {x!r}")
-
-
 def dumps(doc: Any) -> str:
     return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
 
@@ -324,8 +315,9 @@ def suite_pprime(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     p, f = ctx.p, ctx.f
     one = ctx.coefficient_field().one
     checked = 0
+    subsets = embedding_subsets(f)
     for r in itertools.product(range(p + 1), repeat=f):
-        for J in embedding_subsets(f):
+        for J in subsets:
             h = tuple(ri if i in J else 0 for i, ri in enumerate(r))
             rem = tuple(ri - hi for ri, hi in zip(r, h))
             if hom_exists(RankOneKisin(p, h, one), RankOneKisin(p, rem, one)):

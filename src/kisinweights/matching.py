@@ -13,7 +13,6 @@ carrier set (see subspace_transport_audit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .chars import InertialChar, SemisimpleShape, char_of_exponents
@@ -26,6 +25,7 @@ from .rankone import (
     embedding_set,
     embedding_subsets,
     exceptional_case,
+    integer_slopes,
 )
 from .ranktwo import (
     PhiExtension,
@@ -261,10 +261,6 @@ def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _alpha_vec(p: int, x: Sequence[int], y: Sequence[int]) -> list[Fraction]:
-    return [alpha_seq(p, [a - b for a, b in zip(x, y)], i) for i in range(len(x))]
-
-
 def _expected_slopes(
     f: int,
     J0: EmbeddingSet,
@@ -298,8 +294,10 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     Mt = sides[-1].theta
     bd = blocks(w)
 
-    def expect(name: str, got: Sequence[Fraction], want: Sequence[int]) -> None:
-        if list(got) != [Fraction(v) for v in want]:
+    def expect(name: str, x: Sequence[int], y: Sequence[int], want: list[int]) -> None:
+        diff = [a - b for a, b in zip(x, y)]
+        if integer_slopes(p, diff) != tuple(want):
+            got = [alpha_seq(p, diff, i) for i in range(f)]
             raise AssertionError(f"slope table {name} mismatch: {got} != {want}")
 
     s, t = st_sequences(ht_table(w), fs.J)
@@ -309,7 +307,7 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
         seqs.append((ss, ts))
         for half, ours, theirs in (("s", ss, s), ("t", ts, t)):
             want = _expected_slopes(f, J0, Mt, side.theta, Jside, upper=half == "s")
-            expect(f"{side.name}/{half}", _alpha_vec(p, ours, theirs), want)
+            expect(f"{side.name}/{half}", ours, theirs, want)
 
     (sp, tp), (sth, tth) = seqs[0], seqs[-1]
     nxt = lambda i: (i + 1) % f
@@ -323,8 +321,8 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
                 1 if i == mu or (i in J0 and i in blk.indices and nxt(i) in J0) else 0
                 for i in range(f)
             ]
-            expect(f"base-vs-{side.name}/s", _alpha_vec(p, sp, sm), want)
-            expect(f"base-vs-{side.name}/t", _alpha_vec(p, tm, tp), want)
+            expect(f"base-vs-{side.name}/s", sp, sm, want)
+            expect(f"base-vs-{side.name}/t", tm, tp, want)
 
     # auxiliary interpolating sequences between the base and fully-marked sides
     Jp = fs.Jprime
@@ -332,10 +330,10 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     tg = [tp[i] if i in Jp else tth[i] for i in range(f)]
     want_in = [1 if i in Jp and nxt(i) in J0 else 0 for i in range(f)]
     want_out = [1 if i not in Jp and nxt(i) in J0 else 0 for i in range(f)]
-    expect("aux-vs-full/s", _alpha_vec(p, sg, sth), want_in)
-    expect("aux-vs-full/t", _alpha_vec(p, tth, tg), want_in)
-    expect("aux-vs-base/s", _alpha_vec(p, sg, sp), want_out)
-    expect("aux-vs-base/t", _alpha_vec(p, tp, tg), want_out)
+    expect("aux-vs-full/s", sg, sth, want_in)
+    expect("aux-vs-full/t", tth, tg, want_in)
+    expect("aux-vs-base/s", sg, sp, want_out)
+    expect("aux-vs-base/t", tp, tg, want_out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
-from .chars import InertialChar, char_of_exponents
-from .field import Context, FieldElem
+from .field import FieldElem
 
 EmbeddingSet = frozenset  # subsets of Z/f, stored as frozensets of ints
 
@@ -101,35 +100,32 @@ def alpha(N: RankOneKisin, i: int) -> Fraction:
     return alpha_seq(N.p, N.r, i)
 
 
-def alpha_diff(N1: RankOneKisin, N2: RankOneKisin, i: int) -> Fraction:
-    """Slope difference alpha_i(N1) - alpha_i(N2); the i-th twist exponent of a map N1 -> N2."""
-    if (N1.p, N1.f) != (N2.p, N2.f):
-        raise ValueError("modules over different rings")
-    return alpha(N1, i) - alpha(N2, i)
-
-
-def _hom_twist(N1: RankOneKisin, N2: RankOneKisin) -> Optional[tuple[int, ...]]:
-    """The slope diffs alpha_i(N1) - alpha_i(N2) if the scalars agree and all are in Z_{>=0}, else None.
+def integer_slopes(p: int, r: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The slopes alpha_0, ..., alpha_{f-1} of r if all are integers, else None.
 
     m * alpha_{f-1} is the weighted sum of r (m = p^f - 1), and
     alpha_i + r_i = p * alpha_{i-1} gives the rest, each tested by divmod.
     """
+    m = p ** len(r) - 1
+    num = weighted_sum(p, r)
+    out = []
+    for ri in r:
+        num = p * num - m * ri
+        q, rem = divmod(num, m)
+        if rem:
+            return None
+        out.append(q)
+    return tuple(out)
+
+
+def _hom_twist(N1: RankOneKisin, N2: RankOneKisin) -> Optional[tuple[int, ...]]:
+    """The slope diffs alpha_i(N1) - alpha_i(N2) if the scalars agree and all are in Z_{>=0}, else None."""
     if (N1.p, N1.f) != (N2.p, N2.f):
         raise ValueError("modules over different rings")
     if N1.a != N2.a:
         return None
-    p = N1.p
-    m = p ** len(N1.r) - 1
-    diff = [x - y for x, y in zip(N1.r, N2.r)]
-    num = weighted_sum(p, diff)
-    out = []
-    for d in diff:
-        num = p * num - m * d
-        q, rem = divmod(num, m)
-        if rem or q < 0:
-            return None
-        out.append(q)
-    return tuple(out)
+    slopes = integer_slopes(N1.p, [x - y for x, y in zip(N1.r, N2.r)])
+    return None if slopes is None or min(slopes) < 0 else slopes
 
 
 def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
@@ -143,18 +139,6 @@ def hom_exponents(N1: RankOneKisin, N2: RankOneKisin) -> tuple[int, ...]:
     if twist is None:
         raise ValueError("no nonzero map exists")
     return twist
-
-
-def inertial_char(ctx: Context, N: RankOneKisin) -> InertialChar:
-    """Generic-fibre inertial character of a rank-one module."""
-    if (ctx.p, ctx.f) != (N.p, N.f):
-        raise ValueError("context mismatch")
-    return char_of_exponents(ctx, N.r)
-
-
-def tS_iso(ctx: Context, N1: RankOneKisin, N2: RankOneKisin) -> bool:
-    """Isomorphism after inverting u: same scalar and same inertial character."""
-    return N1.a == N2.a and inertial_char(ctx, N1) == inertial_char(ctx, N2)
 
 
 def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankOneKisin:

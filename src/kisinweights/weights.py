@@ -8,12 +8,16 @@ gives the embedding at index i+1.  The elementary shifts are
     th_i: add p at index i+1 and +1 at index i
 
 The irregular inputs have some k_i = 1; the shift constructions below produce
-regular companion weights.
+regular companion weights.  Weights are frozen and every result is
+immutable, so the per-weight builders that each carrier set of a weight
+asks for again (set_J0, ht_table, companion_sides, blocks) keep their
+last 8 results: every caller walks one weight at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .rankone import EmbeddingSet, embedding_set
@@ -84,6 +88,7 @@ def is_regular(w: Weight) -> bool:
     return all(ki >= 2 for ki in w.k)
 
 
+@lru_cache(maxsize=8)
 def set_J0(w: Weight) -> EmbeddingSet:
     """Indices where k is 1."""
     return frozenset(i for i, ki in enumerate(w.k) if ki == 1)
@@ -181,16 +186,12 @@ def weight_ktheta(w: Weight, alternative: bool = False) -> Weight:
     return _shifted(w, Mt, set_Mtilde2(w) if alternative else Mt)
 
 
-def normalize_twist(w: Weight) -> tuple[Weight, tuple[int, ...]]:
-    """Split off the twist: return ((k, 0), l)."""
-    return Weight(w.p, w.k), w.l
-
-
 # ---------------------------------------------------------------------------
 # Hodge-Tate tables
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def ht_table(w: Weight) -> HTWeightTable:
     """Exponent pairs (k_i + l_i - 1, l_i) per index."""
     return HTWeightTable(w.p, tuple((ki + li - 1, li) for ki, li in zip(w.k, w.l)))
@@ -205,6 +206,7 @@ class Side:
     table: HTWeightTable
 
 
+@lru_cache(maxsize=8)
 def companion_sides(w: Weight) -> tuple[Side, ...]:
     """The companions of a valid irregular w as sides theta of Mtilde.
 
@@ -291,6 +293,7 @@ class BlockDecomposition:
         raise KeyError(i)
 
 
+@lru_cache(maxsize=8)
 def blocks(w: Weight) -> BlockDecomposition:
     """Cyclic block decomposition of an irregular weight.
 

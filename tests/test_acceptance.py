@@ -7,7 +7,7 @@ rational arithmetic only; no tolerances).
 import itertools
 import json
 
-from kisinweights.cli import decode_int, jsonable, main
+from kisinweights.cli import jsonable, main
 from kisinweights.field import Context
 from kisinweights.matching import (
     appendix_alpha_audit,
@@ -50,6 +50,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
+from oracles import decode_int
 
 
 def valid_weights(p, f):

@@ -5,16 +5,12 @@ import pytest
 from kisinweights.chars import (
     InertialChar,
     SemisimpleShape,
-    char_eq,
-    char_inv,
-    char_mul,
     char_of_exponents,
-    conjugate_pair,
     extend_to_quadratic,
-    frobenius_twist,
     is_irreducible_pair,
 )
 from kisinweights.field import Context
+from oracles import char_eq, char_inv, char_mul, conjugate_pair, frobenius_twist
 
 CTX = Context(3, 2, 1)
 

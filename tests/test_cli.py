@@ -9,11 +9,11 @@ from kisinweights.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
-    decode_int,
     dumps,
     jsonable,
     main,
 )
+from oracles import decode_int
 
 
 def run(capsys, *argv):

@@ -1,9 +1,11 @@
 """Carrier-set matching, congruences, audits and parameter transport."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
+from kisinweights import matching
 from kisinweights.chars import InertialChar, SemisimpleShape, char_of_exponents
 from kisinweights.field import Context
 from kisinweights.matching import (
@@ -129,6 +131,30 @@ def test_alpha_table_audit_small():
         ctx = Context(p, f, 1)
         for w in valid_weights(p, f):
             for J in subsets(f):
+                appendix_alpha_audit(ctx, w, J)
+
+
+@pytest.mark.parametrize("flip", range(3))
+def test_alpha_table_audit_rejects_a_flipped_entry(monkeypatch, flip):
+    # the audit must see a change in any one entry of a side's closed form
+    real = matching._expected_slopes
+
+    def flipped(*args, **kwargs):
+        want = real(*args, **kwargs)
+        want[flip] ^= 1
+        return want
+
+    monkeypatch.setattr(matching, "_expected_slopes", flipped)
+    ctx = Context(3, 3, 1)
+    w, J = Weight(3, (3, 1, 3)), frozenset({0})
+    args = (3, set_J0(w), set_Mtilde(w), frozenset(), forward_sets(ctx, w, J).Jprime, True)
+    got, want = [Fraction(v) for v in real(*args)], flipped(*args)
+    with pytest.raises(AssertionError) as err:
+        appendix_alpha_audit(ctx, w, J)
+    assert str(err.value) == f"slope table base/s mismatch: {got} != {want}"
+    for w in valid_weights(3, 3):
+        for J in subsets(3):
+            with pytest.raises(AssertionError, match=r"^slope table base/s mismatch"):
                 appendix_alpha_audit(ctx, w, J)
 
 

@@ -11,20 +11,20 @@ from kisinweights.rankone import (
     ExtensionType,
     RankOneKisin,
     alpha,
-    alpha_diff,
+    alpha_seq,
     carrier_weight,
     decompose_cyclic,
     exceptional_case,
     hom_exists,
     hom_exponents,
     in_Pprime,
-    inertial_char,
+    integer_slopes,
     jmax,
     necessary_map_conditions,
-    tS_iso,
     twist_rank_one,
     weighted_sum,
 )
+from oracles import alpha_diff, inertial_char, tS_iso
 
 F3 = make_field(3, 1)
 ONE = F3.one
@@ -94,6 +94,28 @@ def test_integer_slope_test_matches_fraction_definition(pair):
     else:
         with pytest.raises(ValueError):
             hom_exponents(N1, N2)
+
+
+@st.composite
+def slope_cases(draw):
+    """(p, r); half the time r has the integer slopes c, via r_i = p c_{i-1} - c_i."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    f = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(-3, 3), min_size=f, max_size=f))
+        return p, [p * c[i - 1] - c[i] for i in range(f)]
+    return p, draw(st.lists(st.integers(-2 * p, 2 * p), min_size=f, max_size=f))
+
+
+@settings(max_examples=500)
+@given(slope_cases())
+def test_integer_slopes_match_fraction_definition(case):
+    p, r = case
+    slopes = [alpha_seq(p, r, i) for i in range(len(r))]
+    if all(a.denominator == 1 for a in slopes):
+        assert integer_slopes(p, r) == tuple(int(a) for a in slopes)
+    else:
+        assert integer_slopes(p, r) is None
 
 
 def test_hom_requires_equal_scalar():

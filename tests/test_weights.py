@@ -13,7 +13,6 @@ from kisinweights.weights import (
     companion_sides,
     ht_table,
     is_regular,
-    normalize_twist,
     set_J0,
     set_M,
     set_Mtilde,
@@ -24,6 +23,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
+from oracles import normalize_twist
 
 
 def valid_weights(p, f):
