@@ -22,7 +22,9 @@ violation; 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from . import __version__
 from .field import Context
 from .matching import (
     DichotomyError,
@@ -147,6 +148,16 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Its tree is built on the first call and kept
+    for the process; each call returns a shallow copy of the root, so an
+    attribute a caller rebinds on it (a tracer wrapping ``parse_args``, say)
+    stays with that call.  Parsing leaves the tree as it was: ``parse_args``
+    fills a fresh namespace and ``--jmu`` copies its default list."""
+    return copy.copy(_parser_tree())
+
+
+@functools.lru_cache(maxsize=None)
+def _parser_tree() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kisinweights",
         description="Exact weight-shift, matching and verification queries.",
@@ -197,6 +208,7 @@ def _weight_doc(w: Weight) -> dict:
 
 
 def cmd_shift(args: argparse.Namespace) -> int:
+    Context(args.p, args.f, args.d)  # refuses a bad p, f or d
     w = Weight(args.p, args.k, args.l or ())
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k, "l": w.l}
     try:
@@ -250,6 +262,17 @@ def cmd_match(args: argparse.Namespace) -> int:
     ctx = Context(args.p, args.f, args.d)
     w = Weight(args.p, args.k)
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k}
+    mus = {}
+    for item in args.jmu:
+        mu_text, _, idxs = item.partition(":")
+        if int(mu_text) in mus:
+            raise ValueError(f"--jmu gives marked index {int(mu_text)} twice")
+        mus[int(mu_text)] = _csv_ints(idxs)
+    jmu = [*mus, *itertools.chain.from_iterable(mus.values())]
+    for flag, idxs in (("--j", args.j), ("--jprime", args.jprime), ("--jtheta", args.jtheta), ("--jmu", jmu)):
+        bad = [i for i in idxs or () if not 0 <= i < ctx.f]
+        if bad:
+            raise ValueError(f"{flag} indices must lie in [0, {ctx.f - 1}], got {bad[0]}")
     forward = args.j is not None
     backward = args.jprime is not None
     if forward == backward:
@@ -265,10 +288,6 @@ def cmd_match(args: argparse.Namespace) -> int:
         _write_out(dumps(doc), args.out)
         return EXIT_OK
     doc["direction"] = "backward"
-    mus = {}
-    for item in args.jmu:
-        mu_text, _, idxs = item.partition(":")
-        mus[int(mu_text)] = _csv_ints(idxs)
     if mus and args.jtheta is not None:
         raise ValueError("give either --jmu entries or --jtheta, not both")
     if mus:
@@ -436,13 +455,26 @@ class VerificationRecord:
     fingerprint: str
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 of the package sources, computed on first use: the digest of the
+    ``sha256sum *.py`` listing of the package directory.  Any edit to a source
+    file changes it, and with it every cache key and fingerprint."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    listing = ""
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            listing += f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n"
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 def _fingerprint() -> str:
-    return f"kisinweights {__version__} / python {platform.python_version()}"
+    return f"kisinweights sha256:{_source_digest()} / python {platform.python_version()}"
 
 
 def _record_key(suite: str, params: dict) -> str:
     payload = json.dumps(
-        jsonable({"suite": suite, "params": params, "version": __version__}),
+        jsonable({"suite": suite, "params": params, "source": _source_digest()}),
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -572,8 +604,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Answer one request; safe to call many times in one process."""
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a rebound cmd_* (a tracer's probe) is the one run
     handlers = {
         "shift": cmd_shift,
         "match": cmd_match,

@@ -1,6 +1,11 @@
 """Command-line frontend: documents, exit codes, cache, determinism."""
 
+import argparse
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +59,40 @@ def test_shift_refusals(capsys):
     assert json.loads(out)["ktheta_alt"]["k"] == [8, 3, 8, 5]
 
 
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["--p", "4", "--f", "2", "--k", "1,3"], "p must be an odd prime, got 4"),
+        (["--p", "9", "--f", "2", "--k", "1,3"], "p must be an odd prime, got 9"),
+        (["--p", "2", "--f", "2", "--k", "1,2"], "p must be an odd prime, got 2"),
+        (["--p", "3", "--f", "2", "--k", "1,3", "--d", "0"], "d must be >= 1, got 0"),
+    ],
+)
+def test_shift_refuses_bad_context(capsys, argv, reason):
+    code, out = run(capsys, "shift", *argv)
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {"error": "invalid", "reason": reason}
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["--j", "7"], "--j indices must lie in [0, 2], got 7"),
+        (["--j", "0,-1"], "--j indices must lie in [0, 2], got -1"),
+        (["--jprime", "0,3", "--jtheta", "0"], "--jprime indices must lie in [0, 2], got 3"),
+        (["--jprime", "0", "--jtheta", "-2"], "--jtheta indices must lie in [0, 2], got -2"),
+        (["--jprime", "0", "--jmu", "1:0,4"], "--jmu indices must lie in [0, 2], got 4"),
+        (["--jprime", "0", "--jmu", "3:0"], "--jmu indices must lie in [0, 2], got 3"),
+        (["--jprime", "0", "--jmu", "1:0", "--jmu", "1:2"], "--jmu gives marked index 1 twice"),
+    ],
+    ids=["j", "j-negative", "jprime", "jtheta", "jmu-index", "jmu-key", "jmu-repeated"],
+)
+def test_match_refuses_out_of_range_indices(capsys, argv, reason):
+    code, out = run(capsys, "match", "--p", "5", "--f", "3", "--k", "1,3,4", *argv)
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {"error": "invalid", "reason": reason}
+
+
 def test_match_forward_and_backward(capsys):
     code, out = run(capsys, "match", "--p", "3", "--f", "2", "--k", "3,1", "--j", "0")
     assert code == EXIT_OK
@@ -73,6 +112,58 @@ def test_match_dichotomy_exit_code(capsys):
         "--jprime", "0,1", "--jtheta", "1",
     )
     assert code == EXIT_FAIL and json.loads(out)["error"] == "dichotomy"
+
+
+def test_parser_tree_built_once_per_process(monkeypatch, capsys):
+    cli._parser_tree.cache_clear()
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        inits.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    run(capsys, "shift", "--p", "3", "--f", "2", "--k", "3,1")
+    tree = len(inits)
+    assert tree == 5  # the root and one parser per subcommand
+    for _ in range(10):
+        run(capsys, "match", "--p", "3", "--f", "2", "--k", "3,1", "--j", "0")
+        run(capsys, "verify", "--suite", "lemma71", "--p", "3", "--f", "2")
+    assert len(inits) == tree
+    assert cli.build_parser()._actions is cli.build_parser()._actions
+
+
+def test_rebinding_on_the_returned_parser_stays_with_that_call(capsys):
+    parser = cli.build_parser()
+    parser.parse_args = None
+    assert cli.build_parser().parse_args is not None
+    code, _ = run(capsys, "shift", "--p", "3", "--f", "2", "--k", "3,1")
+    assert code == EXIT_OK
+
+
+BACKWARD = ["match", "--p", "3", "--f", "2", "--k", "3,1", "--jprime", "0,1"]
+
+
+def test_jmu_does_not_leak_into_the_next_request(capsys):
+    code, out = run(capsys, *BACKWARD, "--jmu", "0:0")
+    assert code == EXIT_OK and json.loads(out)["J"] == [0]
+    code, out = run(capsys, *BACKWARD, "--jtheta", "0")
+    assert code == EXIT_OK and json.loads(out)["J"] == [0]
+    code, out = run(capsys, *BACKWARD)
+    assert code == EXIT_USAGE and "needs --jtheta or --jmu" in json.loads(out)["reason"]
+
+
+def test_usage_error_leaves_the_parser_as_fresh(capsys):
+    request = ["match", "--p", "3", "--f", "2", "--k", "3,1", "--jprime", "0,1", "--jtheta", "0"]
+    cli._parser_tree.cache_clear()
+    fresh = run(capsys, *request)
+    for bad in (["match", "--p", "3"], ["verify", "--suite", "bogus", "--p", "3", "--f", "2"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: kisinweights")
+    assert run(capsys, *request) == fresh
 
 
 def test_verify_pass_and_unknown(capsys):
@@ -226,6 +317,36 @@ def test_verify_cache_record_with_bad_outcome_is_a_miss(tmp_path, capsys):
     _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
     doc = json.loads(out)
     assert doc["cache"] == "miss" and doc["outcome"] == "pass"
+
+
+def test_verify_force_compares_the_fingerprint(tmp_path, capsys):
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    record = json.loads(slot.read_text())
+    assert record["fingerprint"].startswith("kisinweights sha256:")
+    record["fingerprint"] = "kisinweights sha256:0 / python 0"
+    slot.write_text(json.dumps(record))
+    _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path), "--force")
+    assert json.loads(out)["cache"] == "recomputed-mismatch"
+
+
+def test_source_edit_turns_a_cache_hit_into_a_miss(tmp_path):
+    package = tmp_path / "lib" / "kisinweights"
+    shutil.copytree(os.path.dirname(cli.__file__), package, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    argv = [sys.executable, "-m", "kisinweights.cli", *LEMMA71, "--cache", str(tmp_path / "cache")]
+
+    def verify():
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+        doc = json.loads(done.stdout)
+        return doc["cache"], doc["fingerprint"]
+
+    first, before = verify()
+    assert (first, verify()) == ("miss", ("hit", before))
+    with open(package / "weights.py", "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    cache, after = verify()
+    assert cache == "miss" and after != before
+    assert verify() == ("hit", after)
 
 
 def broken(*args, **kwargs):
