@@ -43,7 +43,6 @@ from .matching import (
     appendix_alpha_audit,
     backward_from_mus,
     backward_from_theta,
-    check_congruence,
     exceptional_audit,
     forward_sets,
     semisimple_equivalence_audit,
@@ -62,13 +61,11 @@ from .rankone import (
 from .weights import (
     Weight,
     blocks,
-    companion_sides,
     ht_table,
     set_J0,
     set_M,
     set_Mtilde,
     set_Mtilde2,
-    st_sequences,
     validate_irregular,
     weight_kmu,
     weight_kprime,
@@ -246,18 +243,6 @@ def cmd_shift(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _congruence_doc(ctx: Context, w: Weight, fs) -> dict:
-    s, t = st_sequences(ht_table(w), fs.J)
-    out = {}
-    for side, Jside in zip(companion_sides(w), fs.carriers):
-        ss, ts = st_sequences(side.table, Jside)
-        out[side.name] = {
-            "upper": check_congruence(ctx.p, s, ss, ctx.m1),
-            "lower": check_congruence(ctx.p, t, ts, ctx.m1),
-        }
-    return out
-
-
 def cmd_match(args: argparse.Namespace) -> int:
     ctx = Context(args.p, args.f, args.d)
     w = Weight(args.p, args.k)
@@ -277,6 +262,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     backward = args.jprime is not None
     if forward == backward:
         raise ValueError("give exactly one of --j (forward) or --jprime (backward)")
+    if forward and (mus or args.jtheta is not None):
+        raise ValueError("--jtheta and --jmu belong to the backward direction, not --j")
     if forward:
         fs = forward_sets(ctx, w, args.j)
         doc["direction"] = "forward"
@@ -284,7 +271,8 @@ def cmd_match(args: argparse.Namespace) -> int:
         doc["Jprime"] = fs.Jprime
         doc["Jtheta"] = fs.Jtheta
         doc["Jmu"] = dict(fs.Jmu)
-        doc["congruences"] = _congruence_doc(ctx, w, fs)
+        # forward_sets raises unless every congruence holds
+        doc["congruences"] = {side.name: {"upper": True, "lower": True} for side in fs.sides}
         _write_out(dumps(doc), args.out)
         return EXIT_OK
     doc["direction"] = "backward"

@@ -1,8 +1,10 @@
 """Matching between irregular weights and their regular companion weights.
 
 Given an irregular weight and a carrier set J, this module builds the
-companion carrier sets on the regular side, verifies the defining weighted
-congruences and slope tables, reconstructs J from companion data (with the
+companion carrier sets on the regular side and verifies the defining weighted
+congruences.  forward_sets splits each table along its carrier once and
+keeps the checked splits in ForwardSets, which the slope-table and transport
+audits read.  It also reconstructs J from companion data (with the
 per-block dichotomy as precondition), decides semisimple shape membership,
 and audits the extension-space transports.  The transport checks are
 additive in the parameter vector and invariant under the shared scalars, so
@@ -35,6 +37,7 @@ from .ranktwo import (
 from .weights import (
     BlockDecomposition,
     HTWeightTable,
+    Side,
     Weight,
     blocks,
     companion_sides,
@@ -44,6 +47,9 @@ from .weights import (
     st_sequences,
     validate_irregular,
 )
+
+
+Split = tuple[tuple[int, ...], tuple[int, ...]]  # (s, t) as st_sequences returns it
 
 
 class DichotomyError(ValueError):
@@ -110,13 +116,30 @@ def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[
 
 @dataclass(frozen=True)
 class ForwardSets:
-    """Companion carrier sets attached to (w, J); ``carriers`` follows companion_sides(w)."""
+    """Companion carrier sets attached to (w, J), with the splits forward_sets checked.
+
+    ``st`` splits ht_table(w) along J.  ``sides`` is companion_sides(w), and
+    ``carriers`` and ``splits`` (each side's table split along its carrier)
+    follow it.
+    """
 
     J: EmbeddingSet
-    Jprime: EmbeddingSet
-    Jtheta: EmbeddingSet
-    Jmu: dict[int, EmbeddingSet]
     carriers: tuple[EmbeddingSet, ...]
+    st: Split
+    sides: tuple[Side, ...]
+    splits: tuple[Split, ...]
+
+    @property
+    def Jprime(self) -> EmbeddingSet:
+        return self.carriers[0]
+
+    @property
+    def Jtheta(self) -> EmbeddingSet:
+        return self.carriers[-1]
+
+    @property
+    def Jmu(self) -> dict[int, EmbeddingSet]:
+        return {min(side.theta): Jside for side, Jside in zip(self.sides[1:-1], self.carriers[1:-1])}
 
 
 def _side_carrier(
@@ -147,13 +170,12 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     carriers = tuple(_side_carrier(Jset, J0, bd, side.theta) for side in sides)
 
     m = ctx.m1
-    s, t = st_sequences(ht_table(w), Jset)
-    for side, Jside in zip(sides, carriers):
-        ss, ts = st_sequences(side.table, Jside)
+    s, t = st = st_sequences(ht_table(w), Jset)
+    splits = tuple(st_sequences(side.table, Jside) for side, Jside in zip(sides, carriers))
+    for side, (ss, ts) in zip(sides, splits):
         if not check_congruence(ctx.p, s, ss, m) or not check_congruence(ctx.p, t, ts, m):
             raise AssertionError(f"{side.name} companion congruence failed")
-    Jmu = {min(side.theta): Jside for side, Jside in zip(sides[1:-1], carriers[1:-1])}
-    return ForwardSets(Jset, carriers[0], carriers[-1], Jmu, carriers)
+    return ForwardSets(Jset, carriers, st, sides, splits)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +308,10 @@ def _expected_slopes(
 
 def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     """Verify the closed-form slope difference tables for (w, J); raises on mismatch."""
-    validate_irregular(w)
     f, p = w.f, ctx.p
     fs = forward_sets(ctx, w, J)
     J0 = set_J0(w)
-    sides = companion_sides(w)
+    sides, seqs = fs.sides, fs.splits
     Mt = sides[-1].theta
     bd = blocks(w)
 
@@ -300,11 +321,8 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
             got = [alpha_seq(p, diff, i) for i in range(f)]
             raise AssertionError(f"slope table {name} mismatch: {got} != {want}")
 
-    s, t = st_sequences(ht_table(w), fs.J)
-    seqs = []
-    for side, Jside in zip(sides, fs.carriers):
-        ss, ts = st_sequences(side.table, Jside)
-        seqs.append((ss, ts))
+    s, t = fs.st
+    for side, Jside, (ss, ts) in zip(sides, fs.carriers, seqs):
         for half, ours, theirs in (("s", ss, s), ("t", ts, t)):
             want = _expected_slopes(f, J0, Mt, side.theta, Jside, upper=half == "s")
             expect(f"{side.name}/{half}", ours, theirs, want)
@@ -448,24 +466,19 @@ def subspace_transport_audit(
     scalar on both sides, and its x-terms carry none.  So one unit pair
     stands for all (|F|-1)^2 of them.
     """
-    validate_irregular(w)
     f, p = w.f, ctx.p
     F = ctx.coefficient_field()
-    Jset = embedding_set(f, J)
+    fs = forward_sets(ctx, w, J)
     J0 = set_J0(w)
-    fs = forward_sets(ctx, w, Jset)
-    sides = companion_sides(w)
-
-    s, t = st_sequences(ht_table(w), Jset)
-    dim = len(Jset - J0)
+    s, t = fs.st
+    dim = len(fs.J - J0)
     zero = (F.zero,) * dim
     basis = [F.elem(p**i) for i in range(F.d)]
     vectors = [zero] + [zero[:j] + (c,) + zero[j + 1 :] for j in range(dim) for c in basis]
 
-    for side, Jside in zip(sides, fs.carriers):
+    for side, Jside, (ssd, tsd) in zip(fs.sides, fs.carriers, fs.splits):
         name = side.name
         twist_vec = tuple(1 if i in side.theta else 0 for i in range(f))
-        ssd, tsd = st_sequences(side.table, Jside)
         s_tw = tuple(si + gi for si, gi in zip(ssd, twist_vec))
         t_tw = tuple(ti + gi for ti, gi in zip(tsd, twist_vec))
         side_support = sorted(Jside - J0)
@@ -496,4 +509,4 @@ def subspace_transport_audit(
             if got != values:
                 raise AssertionError(f"side {name}: parameters changed under transport")
 
-    return TransportAuditReport(dim, F.order**dim, tuple(side.name for side in sides))
+    return TransportAuditReport(dim, F.order**dim, tuple(side.name for side in fs.sides))

@@ -133,14 +133,6 @@ def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
     return _hom_twist(N1, N2) is not None
 
 
-def hom_exponents(N1: RankOneKisin, N2: RankOneKisin) -> tuple[int, ...]:
-    """Twist exponents of the (unique up to scalar) map N1 -> N2; raises if none exists."""
-    twist = _hom_twist(N1, N2)
-    if twist is None:
-        raise ValueError("no nonzero map exists")
-    return twist
-
-
 def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankOneKisin:
     """Tensor with the rank-one module of exponents ``shift`` and scalar c."""
     if len(shift) != N.f:

@@ -21,9 +21,8 @@ from .field import FieldElem, FiniteField, UPoly, poly_phi
 from .rankone import (
     ExtensionType,
     RankOneKisin,
+    _hom_twist,
     exceptional_case,
-    hom_exists,
-    hom_exponents,
     twist_rank_one,
 )
 
@@ -197,13 +196,12 @@ def transport_forward(
     quotient twist exponent at i-1.  Returns the transported extension and
     the diagonal morphism witnessing it; phi-equivariance is re-checked.
     """
-    N, P = M.quotient, M.sub
-    if not hom_exists(N, N_target):
+    cN = _hom_twist(M.quotient, N_target)
+    if cN is None:
         raise ValueError("no map on the quotient line")
-    if not hom_exists(P, P_target):
+    cP = _hom_twist(M.sub, P_target)
+    if cP is None:
         raise ValueError("no map on the sub line")
-    cN = hom_exponents(N, N_target)
-    cP = hom_exponents(P, P_target)
     f = M.f
     for i in range(f):
         if not M.x[i].is_zero() and cN[(i - 1) % f] != 0:
@@ -234,13 +232,12 @@ def transport_reverse(
     at index i is rescaled by u to the power  cP_i + p * cN_{i-1}.  Each
     parameter must be a constant or u times a constant.
     """
-    N, P = M.quotient, M.sub
-    if not hom_exists(P, P_target):
+    cP = _hom_twist(M.sub, P_target)
+    if cP is None:
         raise ValueError("no map on the sub line")
-    if not hom_exists(N_target, N):
+    cN = _hom_twist(N_target, M.quotient)
+    if cN is None:
         raise ValueError("no map into the quotient line")
-    cP = hom_exponents(P, P_target)
-    cN = hom_exponents(N_target, N)
     f = M.f
     for xi in M.x:
         if xi.is_zero() or xi.degree() == 0:

@@ -8,8 +8,9 @@ from typing import Any
 
 from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.field import Context
-from kisinweights.rankone import RankOneKisin, alpha
-from kisinweights.weights import Weight
+from kisinweights.matching import check_congruence
+from kisinweights.rankone import RankOneKisin, _hom_twist, alpha
+from kisinweights.weights import Weight, companion_sides, ht_table, st_sequences
 
 # ---------------------------------------------------------------------------
 # characters
@@ -55,6 +56,14 @@ def alpha_diff(N1: RankOneKisin, N2: RankOneKisin, i: int) -> Fraction:
     return alpha(N1, i) - alpha(N2, i)
 
 
+def hom_exponents(N1: RankOneKisin, N2: RankOneKisin) -> tuple[int, ...]:
+    """Twist exponents of the (unique up to scalar) map N1 -> N2; raises if none exists."""
+    twist = _hom_twist(N1, N2)
+    if twist is None:
+        raise ValueError("no nonzero map exists")
+    return twist
+
+
 def inertial_char(ctx: Context, N: RankOneKisin) -> InertialChar:
     """Generic-fibre inertial character of a rank-one module."""
     if (ctx.p, ctx.f) != (N.p, N.f):
@@ -65,6 +74,26 @@ def inertial_char(ctx: Context, N: RankOneKisin) -> InertialChar:
 def tS_iso(ctx: Context, N1: RankOneKisin, N2: RankOneKisin) -> bool:
     """Isomorphism after inverting u: same scalar and same inertial character."""
     return N1.a == N2.a and inertial_char(ctx, N1) == inertial_char(ctx, N2)
+
+
+# ---------------------------------------------------------------------------
+# matching
+# ---------------------------------------------------------------------------
+
+
+def congruence_doc(ctx: Context, w: Weight, J, carriers) -> dict:
+    """Per-side verdicts of the weighted congruences between the split of
+    (w, J) and each side's split along its carrier, as forward ``match``
+    reports them; ``carriers`` follows companion_sides(w)."""
+    s, t = st_sequences(ht_table(w), J)
+    out = {}
+    for side, Jside in zip(companion_sides(w), carriers):
+        ss, ts = st_sequences(side.table, Jside)
+        out[side.name] = {
+            "upper": check_congruence(ctx.p, s, ss, ctx.m1),
+            "lower": check_congruence(ctx.p, t, ts, ctx.m1),
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

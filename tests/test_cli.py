@@ -1,6 +1,7 @@
 """Command-line frontend: documents, exit codes, cache, determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -18,7 +19,9 @@ from kisinweights.cli import (
     jsonable,
     main,
 )
-from oracles import decode_int
+from kisinweights.field import Context
+from kisinweights.weights import Weight, validate_irregular
+from oracles import congruence_doc, decode_int
 
 
 def run(capsys, *argv):
@@ -84,8 +87,13 @@ def test_shift_refuses_bad_context(capsys, argv, reason):
         (["--jprime", "0", "--jmu", "1:0,4"], "--jmu indices must lie in [0, 2], got 4"),
         (["--jprime", "0", "--jmu", "3:0"], "--jmu indices must lie in [0, 2], got 3"),
         (["--jprime", "0", "--jmu", "1:0", "--jmu", "1:2"], "--jmu gives marked index 1 twice"),
+        (["--j", "0", "--jtheta", "1"], "--jtheta and --jmu belong to the backward direction, not --j"),
+        (["--j", "0", "--jmu", "1:0"], "--jtheta and --jmu belong to the backward direction, not --j"),
     ],
-    ids=["j", "j-negative", "jprime", "jtheta", "jmu-index", "jmu-key", "jmu-repeated"],
+    ids=[
+        "j", "j-negative", "jprime", "jtheta", "jmu-index", "jmu-key", "jmu-repeated",
+        "j-with-jtheta", "j-with-jmu",
+    ],
 )
 def test_match_refuses_out_of_range_indices(capsys, argv, reason):
     code, out = run(capsys, "match", "--p", "5", "--f", "3", "--k", "1,3,4", *argv)
@@ -104,6 +112,27 @@ def test_match_forward_and_backward(capsys):
         "--jprime", "0,1", "--jtheta", "0",
     )
     assert code == EXIT_OK and json.loads(out)["J"] == [0]
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2)])
+def test_match_congruences_agree_with_the_split_oracle(capsys, p, f):
+    ctx = Context(p, f, 1)
+    checked = 0
+    for k in itertools.product(range(1, p + 1), repeat=f):
+        w = Weight(p, k)
+        try:
+            validate_irregular(w)
+        except ValueError:
+            continue
+        for J in itertools.chain.from_iterable(itertools.combinations(range(f), n) for n in range(f + 1)):
+            argv = ["--p", str(p), "--f", str(f), "--k", ",".join(map(str, k)), "--j", ",".join(map(str, J))]
+            code, out = run(capsys, "match", *argv)
+            assert code == EXIT_OK, (k, J)
+            doc = json.loads(out)
+            carriers = [doc["Jprime"], *(doc["Jmu"][mu] for mu in sorted(doc["Jmu"], key=int)), doc["Jtheta"]]
+            assert doc["congruences"] == congruence_doc(ctx, w, J, carriers), (k, J)
+            checked += 1
+    assert checked > 0
 
 
 def test_match_dichotomy_exit_code(capsys):

@@ -181,6 +181,25 @@ def test_transport_audit_full():
                     assert report.dim == len(J - set_J0(w))
 
 
+@pytest.mark.parametrize("audit", ["appendix_alpha_audit", "subspace_transport_audit"])
+def test_audits_split_each_carrier_once(monkeypatch, audit):
+    ctx = Context(3, 3, 1)
+    one = ctx.coefficient_field().one
+    run = {
+        "appendix_alpha_audit": lambda w, J: appendix_alpha_audit(ctx, w, J),
+        "subspace_transport_audit": lambda w, J: subspace_transport_audit(ctx, w, J, one, one),
+    }[audit]
+    calls = []
+    real = matching.st_sequences
+    monkeypatch.setattr(matching, "st_sequences", lambda table, J: calls.append(J) or real(table, J))
+    for w in valid_weights(3, 3):
+        for J in subsets(3):
+            calls.clear()
+            run(w, J)
+            # the irregular split, then one split per side, all inside forward_sets
+            assert len(calls) == 1 + len(companion_sides(w)), (w.k, J)
+
+
 # ---------------------------------------------------------------------------
 # one side abstraction against the per-side constructions it replaced
 # ---------------------------------------------------------------------------
@@ -269,6 +288,9 @@ def test_forward_carriers_line_up_with_sides():
                 assert len(fs.carriers) == len(sides)
                 assert fs.carriers[0] == fs.Jprime and fs.carriers[-1] == fs.Jtheta
                 assert list(fs.carriers[1:-1]) == [fs.Jmu[mu] for mu in sorted(Mt)]
+                assert fs.sides == sides
+                assert fs.st == st_sequences(ht_table(w), J)
+                assert list(fs.splits) == [st_sequences(side.table, Jside) for side, Jside in zip(sides, fs.carriers)]
 
 
 def per_side_constraints(w):

@@ -16,7 +16,6 @@ from kisinweights.rankone import (
     decompose_cyclic,
     exceptional_case,
     hom_exists,
-    hom_exponents,
     in_Pprime,
     integer_slopes,
     jmax,
@@ -24,7 +23,7 @@ from kisinweights.rankone import (
     twist_rank_one,
     weighted_sum,
 )
-from oracles import alpha_diff, inertial_char, tS_iso
+from oracles import alpha_diff, hom_exponents, inertial_char, tS_iso
 
 F3 = make_field(3, 1)
 ONE = F3.one
