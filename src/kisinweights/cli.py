@@ -22,6 +22,7 @@ violation; 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -119,6 +120,7 @@ def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
     """Write each chunk as it is produced, to the file ``out`` or to stdout."""
     if out is None:
         sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe raises here, inside main
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
@@ -422,7 +424,7 @@ SUITES = {
     "irr-equiv": suite_irr_equiv,
 }
 
-# Suites that audit the weight given by --k; the first two need one.
+# Suites that audit the weight given by --k; the first two need one.  The rest refuse it.
 NEEDS_K = frozenset({"semisimple-equiv", "transport"})
 WEIGHT_SUITES = NEEDS_K | {"irr-equiv"}
 
@@ -503,14 +505,16 @@ def _stable_view(record_doc: dict) -> dict:
 
 
 def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> VerificationRecord:
-    """Refuse input the suite cannot take (a missing --k, an invalid weight);
-    an error the suite itself raises is a failure."""
+    """Refuse input the suite cannot take (a missing --k, a --k it does not
+    read, an invalid weight); an error the suite itself raises is a failure."""
     params = {"p": ctx.p, "f": ctx.f, "d": ctx.d, "k": list(k) if k else None}
     start = time.monotonic()
     try:
         if k is None and suite in NEEDS_K:
             raise ValueError("suite needs --k")
-        if k is not None and suite in WEIGHT_SUITES:
+        if k is not None:
+            if suite not in WEIGHT_SUITES:
+                raise ValueError("suite takes no --k")
             validate_irregular(Weight(ctx.p, k))
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
@@ -572,15 +576,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             if unit % shard_n != shard_i:
                 continue
             fs = forward_sets(ctx, w, J)
+            # the jsonable form, built directly: every int here is small
             record = {
                 "unit": unit,
-                "k": w.k,
-                "J": J,
-                "Jprime": fs.Jprime,
-                "Jtheta": fs.Jtheta,
-                "Jmu": dict(fs.Jmu),
+                "k": list(w.k),
+                "J": sorted(J),
+                "Jprime": sorted(fs.Jprime),
+                "Jtheta": sorted(fs.Jtheta),
+                "Jmu": {str(mu): sorted(Jmu) for mu, Jmu in fs.Jmu.items()},
             }
-            yield json.dumps(jsonable(record), sort_keys=True) + "\n"
+            yield json.dumps(record, sort_keys=True) + "\n"
 
     _write_lines(lines(), args.out)
     return EXIT_OK
@@ -614,6 +619,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except AssertionError as err:
         _write_out(dumps({"error": "fail", "reason": str(err)}), getattr(args, "out", None))
+        return EXIT_FAIL
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so the flush at exit stays quiet
+        with contextlib.suppress(OSError):  # io.UnsupportedOperation: no file descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return EXIT_FAIL
 
 

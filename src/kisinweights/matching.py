@@ -27,7 +27,7 @@ from .rankone import (
     embedding_set,
     embedding_subsets,
     exceptional_case,
-    integer_slopes,
+    exponents_from_slopes,
 )
 from .ranktwo import (
     PhiExtension,
@@ -73,8 +73,9 @@ def check_congruence(p: int, sA: Sequence[int], sB: Sequence[int], modulus: int)
     """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus."""
     if len(sA) != len(sB):
         raise ValueError("sequences of different length")
-    n = len(sA)
-    total = sum((a - b) * p ** (n - 1 - i) for i, (a, b) in enumerate(zip(sA, sB)))
+    total = 0
+    for a, b in zip(sA, sB):
+        total = total * p + (a - b)
     return total % modulus == 0
 
 
@@ -307,7 +308,15 @@ def _expected_slopes(
 
 
 def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
-    """Verify the closed-form slope difference tables for (w, J); raises on mismatch."""
+    """Verify the closed-form slope difference tables for (w, J); raises on mismatch.
+
+    A table says that a difference of splits has the integer slopes
+    ``want``.  The audit compares the difference with
+    exponents_from_slopes(p, want), entries p * want_{i-1} - want_i.  That
+    is the same statement: the recurrence alpha_i + r_i = p * alpha_{i-1}
+    has one solution per r, as two differ by some d with d_i = p * d_{i-1}
+    for every i, so d = p^f * d and d = 0.
+    """
     f, p = w.f, ctx.p
     fs = forward_sets(ctx, w, J)
     J0 = set_J0(w)
@@ -316,8 +325,8 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     bd = blocks(w)
 
     def expect(name: str, x: Sequence[int], y: Sequence[int], want: list[int]) -> None:
-        diff = [a - b for a, b in zip(x, y)]
-        if integer_slopes(p, diff) != tuple(want):
+        diff = tuple([a - b for a, b in zip(x, y)])
+        if diff != exponents_from_slopes(p, want):
             got = [alpha_seq(p, diff, i) for i in range(f)]
             raise AssertionError(f"slope table {name} mismatch: {got} != {want}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Literal, Optional, Sequence
 
 from .field import FieldElem
@@ -118,6 +119,21 @@ def integer_slopes(p: int, r: Sequence[int]) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
+def exponents_from_slopes(p: int, slopes: Sequence[int]) -> tuple[int, ...]:
+    """The exponents r_i = p * alpha_{i-1} - alpha_i whose slopes are ``slopes``.
+
+    The inverse of integer_slopes, as the recurrence alpha_i + r_i =
+    p * alpha_{i-1} has one solution per r: two solutions differ by some d
+    with d_i = p * d_{i-1} for every i, so d = p^f * d and d = 0.
+    """
+    prev = slopes[-1]
+    out = []
+    for cur in slopes:
+        out.append(p * prev - cur)
+        prev = cur
+    return tuple(out)
+
+
 def _hom_twist(N1: RankOneKisin, N2: RankOneKisin) -> Optional[tuple[int, ...]]:
     """The slope diffs alpha_i(N1) - alpha_i(N2) if the scalars agree and all are in Z_{>=0}, else None."""
     if (N1.p, N1.f) != (N2.p, N2.f):
@@ -145,15 +161,16 @@ def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankO
 # ---------------------------------------------------------------------------
 
 
-def in_Pprime(p: int, r: Sequence[int]) -> bool:
+@lru_cache(maxsize=8)
+def in_Pprime(p: int, r: tuple[int, ...]) -> bool:
     """Membership in the admissible exponent patterns.
 
     Entries lie in {0, 1, p-1, p}; a p is followed by 0 or 1; a 1 or p-1 is
     followed by p-1 or p; and every (cyclic) run of zeros is immediately
     preceded by p and followed by 1 -- unless the tuple is identically zero.
+    Cached, as callers ask about one r for each carrier set in turn.
     """
     f = len(r)
-    r = tuple(r)
     if any(ri not in (0, 1, p - 1, p) for ri in r):
         return False
     if all(ri == 0 for ri in r):
@@ -179,9 +196,11 @@ def in_Pprime(p: int, r: Sequence[int]) -> bool:
 
 
 def weighted_sum(p: int, r: Sequence[int]) -> int:
-    """sum r_i p^(f-1-i)."""
-    f = len(r)
-    return sum(ri * p ** (f - 1 - i) for i, ri in enumerate(r))
+    """sum r_i p^(f-1-i), by Horner's rule."""
+    total = 0
+    for ri in r:
+        total = total * p + ri
+    return total
 
 
 @dataclass(frozen=True)
@@ -311,7 +330,7 @@ def necessary_map_conditions(p: int, r: Sequence[int], J: Iterable[int]) -> bool
     """
     f = len(r)
     Jset = embedding_set(f, J)
-    if not in_Pprime(p, r):
+    if not in_Pprime(p, tuple(r)):
         return False
     for i, ri in enumerate(r):
         if ri in (p - 1, p) and i not in Jset:

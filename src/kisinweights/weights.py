@@ -10,8 +10,8 @@ gives the embedding at index i+1.  The elementary shifts are
 The irregular inputs have some k_i = 1; the shift constructions below produce
 regular companion weights.  Weights are frozen and every result is
 immutable, so the per-weight builders that each carrier set of a weight
-asks for again (set_J0, ht_table, companion_sides, blocks) keep their
-last 8 results: every caller walks one weight at a time.
+asks for again (validate_irregular, set_J0, ht_table, companion_sides,
+blocks) keep their last 8 results: every caller walks one weight at a time.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class HTWeightTable:
         return all(1 <= g <= self.p for g in self.gaps())
 
 
+@lru_cache(maxsize=8)
 def validate_irregular(w: Weight) -> None:
     """Check that w = (k, 0) is a valid irregular input weight.
 
@@ -260,9 +261,15 @@ def st_sequences(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a table along a carrier set: s picks b_1 on J, t the complement."""
     Jset = embedding_set(table.f, J)
-    s = tuple(b1 if i in Jset else b2 for i, (b1, b2) in enumerate(table.rows))
-    t = tuple(b2 if i in Jset else b1 for i, (b1, b2) in enumerate(table.rows))
-    return s, t
+    s, t = [], []
+    for i, (b1, b2) in enumerate(table.rows):
+        if i in Jset:
+            s.append(b1)
+            t.append(b2)
+        else:
+            s.append(b2)
+            t.append(b1)
+    return tuple(s), tuple(t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from typing import Any
 from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.field import Context
 from kisinweights.matching import check_congruence
-from kisinweights.rankone import RankOneKisin, _hom_twist, alpha
-from kisinweights.weights import Weight, companion_sides, ht_table, st_sequences
+from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set
+from kisinweights.weights import HTWeightTable, Weight, companion_sides, ht_table, st_sequences
 
 # ---------------------------------------------------------------------------
 # characters
@@ -56,6 +56,12 @@ def alpha_diff(N1: RankOneKisin, N2: RankOneKisin, i: int) -> Fraction:
     return alpha(N1, i) - alpha(N2, i)
 
 
+def weighted_sum_by_powers(p: int, r) -> int:
+    """sum r_i p^(f-1-i), one power per term."""
+    f = len(r)
+    return sum(ri * p ** (f - 1 - i) for i, ri in enumerate(r))
+
+
 def hom_exponents(N1: RankOneKisin, N2: RankOneKisin) -> tuple[int, ...]:
     """Twist exponents of the (unique up to scalar) map N1 -> N2; raises if none exists."""
     twist = _hom_twist(N1, N2)
@@ -81,6 +87,11 @@ def tS_iso(ctx: Context, N1: RankOneKisin, N2: RankOneKisin) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_congruence_by_powers(p: int, sA, sB, modulus: int) -> bool:
+    """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus, one power per term."""
+    return weighted_sum_by_powers(p, [a - b for a, b in zip(sA, sB)]) % modulus == 0
+
+
 def congruence_doc(ctx: Context, w: Weight, J, carriers) -> dict:
     """Per-side verdicts of the weighted congruences between the split of
     (w, J) and each side's split along its carrier, as forward ``match``
@@ -99,6 +110,14 @@ def congruence_doc(ctx: Context, w: Weight, J, carriers) -> dict:
 # ---------------------------------------------------------------------------
 # weights and JSON
 # ---------------------------------------------------------------------------
+
+
+def st_sequences_two_pass(table: HTWeightTable, J) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a table along J, one pass for s and one for t."""
+    Jset = embedding_set(table.f, J)
+    s = tuple(b1 if i in Jset else b2 for i, (b1, b2) in enumerate(table.rows))
+    t = tuple(b2 if i in Jset else b1 for i, (b1, b2) in enumerate(table.rows))
+    return s, t
 
 
 def normalize_twist(w: Weight) -> tuple[Weight, tuple[int, ...]]:

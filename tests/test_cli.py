@@ -20,6 +20,8 @@ from kisinweights.cli import (
     main,
 )
 from kisinweights.field import Context
+from kisinweights.matching import forward_sets
+from kisinweights.rankone import embedding_subsets
 from kisinweights.weights import Weight, validate_irregular
 from oracles import congruence_doc, decode_int
 
@@ -212,6 +214,14 @@ def test_verify_refusal(capsys):
     assert json.loads(out)["outcome"] == "refused"
 
 
+@pytest.mark.parametrize("suite", ["lemma71", "pprime", "alpha-id", "alpha-tables", "exceptional"])
+def test_verify_refuses_k_on_suites_without_a_weight(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite, "--p", "3", "--f", "2", "--k", "9,9")
+    doc = json.loads(out)
+    assert code == EXIT_USAGE and doc["outcome"] == "refused"
+    assert doc["detail"] == {"reason": "suite takes no --k"}
+
+
 def test_verify_determinism(capsys):
     _, a = run(capsys, "verify", "--suite", "alpha-id", "--p", "3", "--f", "2")
     _, b = run(capsys, "verify", "--suite", "alpha-id", "--p", "3", "--f", "2")
@@ -247,6 +257,44 @@ def test_enumerate_sharding(capsys):
     assert len(full_lines) == 8  # 2 valid weights x 4 carrier sets
     _, single = run(capsys, "enumerate", "--p", "3", "--f", "2", "--shard", "0/1")
     assert single.strip().splitlines() == full_lines
+
+
+@pytest.mark.parametrize("shard", [None, (1, 3)])
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (3, 4)])
+def test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard):
+    argv = ["enumerate", "--p", str(p), "--f", str(f)]
+    if shard:
+        argv += ["--shard", f"{shard[0]}/{shard[1]}"]
+    _, out = run(capsys, *argv)
+    ctx = Context(p, f)
+    weights = []
+    for k in itertools.product(range(1, p + 1), repeat=f):
+        try:
+            validate_irregular(Weight(p, k))
+        except ValueError:
+            continue
+        weights.append(Weight(p, k))
+    expected = []
+    for unit, (w, J) in enumerate(itertools.product(weights, embedding_subsets(f))):
+        if shard and unit % shard[1] != shard[0]:
+            continue
+        fs = forward_sets(ctx, w, J)
+        record = {"unit": unit, "k": w.k, "J": J, "Jprime": fs.Jprime, "Jtheta": fs.Jtheta, "Jmu": dict(fs.Jmu)}
+        expected.append(json.dumps(jsonable(record), sort_keys=True) + "\n")
+    assert expected and out == "".join(expected)
+
+
+def test_enumerate_into_a_closed_pipe_ends_quietly():
+    # (5, 4) writes about 450 KB, far more than a pipe holds, so the writer
+    # is still writing when the reader closes after the first line
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    argv = [sys.executable, "-m", "kisinweights.cli", "enumerate", "--p", "5", "--f", "4"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["unit"] == 0
+    assert (proc.returncode, err) == (EXIT_FAIL, b"")
 
 
 def test_enumerate_empty(capsys):
