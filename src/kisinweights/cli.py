@@ -55,9 +55,8 @@ from .rankone import (
     alpha,
     decompose_cyclic,
     embedding_subsets,
-    hom_exists,
+    exponents_from_slopes,
     necessary_map_conditions,
-    weighted_sum,
 )
 from .weights import (
     Weight,
@@ -307,33 +306,54 @@ def _valid_weights(p: int, f: int) -> Iterator[Weight]:
 
 
 def suite_lemma71(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
+    """Decompose every r in [-p, p]^f whose weighted sum is divisible by
+    m = p^f - 1, in the ascending order of a scan of the whole cube.
+
+    Those r are solved for, not scanned.  m * alpha_{f-1} is the weighted
+    sum and alpha_i + r_i = p * alpha_{i-1} gives the other slopes, so the
+    sum is divisible exactly when every slope is an integer.  With
+    |r_i| <= p, |alpha_i| <= p/(p-1) < 2, so the slopes lie in {-1, 0, 1}^f
+    and r = exponents_from_slopes(p, alpha), kept where max |r_i| <= p.
+    ``scanned`` counts the whole cube, (2p+1)^f.
+    """
     p, f = ctx.p, ctx.f
-    scanned = congruent = 0
-    for r in itertools.product(range(-p, p + 1), repeat=f):
-        scanned += 1
-        if weighted_sum(p, r) % ctx.m1 != 0:
-            continue
-        congruent += 1
-        dec = decompose_cyclic(p, r)
-        if dec.recompose() != r:
+    rs = (exponents_from_slopes(p, slopes) for slopes in itertools.product((-1, 0, 1), repeat=f))
+    congruent = sorted(r for r in rs if max(map(abs, r)) <= p)
+    for r in congruent:
+        if decompose_cyclic(p, r).recompose() != r:
             return {"outcome": "fail", "counterexample": {"r": r}}
-    return {"outcome": "pass", "scanned": scanned, "congruent": congruent}
+    return {"outcome": "pass", "scanned": (2 * p + 1) ** f, "congruent": len(congruent)}
 
 
 def suite_pprime(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
+    """Check necessary_map_conditions(p, r, J) for every r in [0, p]^f and
+    carrier set J with a map from the line h (r on J, 0 off it) to the line
+    rem (0 on J, r off it), in the ascending (r, mask of J) order of a scan.
+
+    Those (r, J) are solved for, not scanned.  Both lines carry the scalar
+    1, so the map exists exactly when d = h - rem (r_i on J, -r_i off J) has
+    slopes in Z_{>=0}.  With |d_i| <= p every slope has absolute value
+    below p/(p-1) < 2, so d = exponents_from_slopes(p, alpha) for some
+    alpha in {0, 1}^f; each such d has entries p * alpha_{i-1} - alpha_i in
+    {-1, 0, p-1, p}, so none is out of range.  Each d comes from exactly
+    the (r, J) with r_i = |d_i|, J holding every i with d_i > 0 and no i
+    with d_i < 0, and J free where d_i = 0.
+    """
     p, f = ctx.p, ctx.f
-    one = ctx.coefficient_field().one
-    checked = 0
+    maps = []
+    for slopes in itertools.product((0, 1), repeat=f):
+        d = exponents_from_slopes(p, slopes)
+        r = tuple(map(abs, d))
+        forced = sum(1 << i for i, di in enumerate(d) if di > 0)
+        free = [1 << i for i, di in enumerate(d) if di == 0]
+        for picks in itertools.product((0, 1), repeat=len(free)):
+            maps.append((r, forced + sum(bit for bit, pick in zip(free, picks) if pick)))
+    maps.sort()
     subsets = embedding_subsets(f)
-    for r in itertools.product(range(p + 1), repeat=f):
-        for J in subsets:
-            h = tuple(ri if i in J else 0 for i, ri in enumerate(r))
-            rem = tuple(ri - hi for ri, hi in zip(r, h))
-            if hom_exists(RankOneKisin(p, h, one), RankOneKisin(p, rem, one)):
-                checked += 1
-                if not necessary_map_conditions(p, r, J):
-                    return {"outcome": "fail", "counterexample": {"r": r, "J": J}}
-    return {"outcome": "pass", "maps_checked": checked}
+    for r, mask in maps:
+        if not necessary_map_conditions(p, r, subsets[mask]):
+            return {"outcome": "fail", "counterexample": {"r": r, "J": subsets[mask]}}
+    return {"outcome": "pass", "maps_checked": len(maps)}
 
 
 def suite_alpha_id(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
@@ -399,8 +419,6 @@ def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 def suite_irr_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     weights = [Weight(ctx.p, k)] if k is not None else list(_valid_weights(ctx.p, ctx.f))
-    if not weights:
-        return {"outcome": "refused", "reason": "no valid irregular weight at this size"}
     total = 0
     for w in weights:
         report = irr_equivalence_audit(w)
@@ -427,6 +445,8 @@ SUITES = {
 # Suites that audit the weight given by --k; the first two need one.  The rest refuse it.
 NEEDS_K = frozenset({"semisimple-equiv", "transport"})
 WEIGHT_SUITES = NEEDS_K | {"irr-equiv"}
+# Suites that audit every valid weight of the size when given no --k.
+SIZE_SUITES = frozenset({"alpha-tables", "exceptional", "irr-equiv"})
 
 
 EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_FAIL, "refused": EXIT_USAGE}
@@ -506,7 +526,8 @@ def _stable_view(record_doc: dict) -> dict:
 
 def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> VerificationRecord:
     """Refuse input the suite cannot take (a missing --k, a --k it does not
-    read, an invalid weight); an error the suite itself raises is a failure."""
+    read, an invalid weight, a size with no valid weight to audit); an error
+    the suite itself raises is a failure."""
     params = {"p": ctx.p, "f": ctx.f, "d": ctx.d, "k": list(k) if k else None}
     start = time.monotonic()
     try:
@@ -516,6 +537,8 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> Verific
             if suite not in WEIGHT_SUITES:
                 raise ValueError("suite takes no --k")
             validate_irregular(Weight(ctx.p, k))
+        elif suite in SIZE_SUITES and next(_valid_weights(ctx.p, ctx.f), None) is None:
+            raise ValueError("no valid irregular weight at this size")
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
     else:

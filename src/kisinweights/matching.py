@@ -21,13 +21,12 @@ from .chars import InertialChar, SemisimpleShape, char_of_exponents
 from .field import Context, FieldElem, FiniteField, UPoly
 from .rankone import (
     EmbeddingSet,
-    ExtensionType,
     RankOneKisin,
     alpha_seq,
     embedding_set,
     embedding_subsets,
-    exceptional_case,
     exponents_from_slopes,
+    in_Pprime,
 )
 from .ranktwo import (
     PhiExtension,
@@ -395,31 +394,45 @@ def _side_constraint(bd: BlockDecomposition, theta: EmbeddingSet, J: EmbeddingSe
     )
 
 
+def _exceptional_carriers(p: int, r: tuple[int, ...]) -> list[EmbeddingSet]:
+    """The carrier sets J, in ascending mask order, that make the extension
+    type (r; 1, 1; J) exceptional.
+
+    With equal scalars, exceptional_case is necessary_map_conditions: r is
+    in Pprime, J contains need = {i : r_i in {p-1, p}} and J misses avoid =
+    {i : r_i = 1}.  So the hits are the masks containing need and missing
+    avoid, and there are none unless in_Pprime(p, r) holds.
+    """
+    if not in_Pprime(p, r):
+        return []
+    need = sum(1 << i for i, ri in enumerate(r) if ri in (p - 1, p))
+    avoid = sum(1 << i for i, ri in enumerate(r) if ri == 1)
+    return [
+        frozenset(i for i in range(len(r)) if mask >> i & 1)
+        for mask in range(1 << len(r))
+        if mask & need == need and not mask & avoid
+    ]
+
+
 def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
-    """Scan every carrier set of every companion table for exceptional types.
+    """Find the exceptional carrier sets of the irregular table (exponents
+    k_i - 1) and of every companion side's table (its gaps), both lines
+    carrying the scalar 1; _exceptional_carriers solves for them.
 
     Under the per-block constraints no companion may be exceptional; dropping
     the constraints can produce hits, which are reported separately.
     """
     validate_irregular(w)
-    one = ctx.coefficient_field().one
     bd = blocks(w)
-    subsets = embedding_subsets(w.f)
-
-    r = tuple(ki - 1 for ki in w.k)
-    irregular_hits = [
-        J for J in subsets if exceptional_case(ExtensionType(ctx.p, r, one, one, J))
-    ]
+    irregular_hits = _exceptional_carriers(ctx.p, tuple(ki - 1 for ki in w.k))
     constrained_hits = []
     unconstrained_hits = []
     for side in companion_sides(w):
-        gaps = side.table.gaps()
-        for J in subsets:
-            if exceptional_case(ExtensionType(ctx.p, gaps, one, one, J)):
-                if _side_constraint(bd, side.theta, J):
-                    constrained_hits.append((side.name, J))
-                else:
-                    unconstrained_hits.append((side.name, J))
+        for J in _exceptional_carriers(ctx.p, side.table.gaps()):
+            if _side_constraint(bd, side.theta, J):
+                constrained_hits.append((side.name, J))
+            else:
+                unconstrained_hits.append((side.name, J))
     return ExceptionalReport(
         tuple(irregular_hits), tuple(constrained_hits), tuple(unconstrained_hits)
     )

@@ -149,13 +149,6 @@ def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
     return _hom_twist(N1, N2) is not None
 
 
-def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankOneKisin:
-    """Tensor with the rank-one module of exponents ``shift`` and scalar c."""
-    if len(shift) != N.f:
-        raise ValueError("shift length mismatch")
-    return RankOneKisin(N.p, tuple(ri + si for ri, si in zip(N.r, shift)), N.a * c)
-
-
 # ---------------------------------------------------------------------------
 # the admissible exponent set and the cyclic-string decomposition
 # ---------------------------------------------------------------------------

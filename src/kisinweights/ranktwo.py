@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .field import FieldElem, FiniteField, UPoly, poly_phi
-from .rankone import (
-    ExtensionType,
-    RankOneKisin,
-    _hom_twist,
-    exceptional_case,
-    twist_rank_one,
-)
+from .rankone import ExtensionType, RankOneKisin, _hom_twist, exceptional_case
 
 
 @dataclass(frozen=True)
@@ -212,61 +206,3 @@ def transport_forward(
     if not check_phi_morphism(g, M, M2):
         raise AssertionError("transport produced a non-equivariant map")
     return M2, g
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    """Witness data for a reverse transport: the two line maps used."""
-
-    sub_exponents: tuple[int, ...]  # map  sub(M) -> P_target
-    quotient_exponents: tuple[int, ...]  # map  N_target -> quotient(M)
-    combined: tuple[int, ...]  # parameter rescaling exponents per index
-
-
-def transport_reverse(
-    M: PhiExtension, N_target: RankOneKisin, P_target: RankOneKisin
-) -> tuple[PhiExtension, TransportReport]:
-    """Pull the quotient line back while pushing the sub line forward.
-
-    Uses maps sub(M) -> P_target and N_target -> quotient(M); the parameter
-    at index i is rescaled by u to the power  cP_i + p * cN_{i-1}.  Each
-    parameter must be a constant or u times a constant.
-    """
-    cP = _hom_twist(M.sub, P_target)
-    if cP is None:
-        raise ValueError("no map on the sub line")
-    cN = _hom_twist(N_target, M.quotient)
-    if cN is None:
-        raise ValueError("no map into the quotient line")
-    f = M.f
-    for xi in M.x:
-        if xi.is_zero() or xi.degree() == 0:
-            continue
-        if xi.degree() == 1 and xi.coefficient(0).is_zero():
-            continue
-        raise ValueError("parameters must be constants or u times constants")
-    combined = tuple(cP[i] + M.p * cN[(i - 1) % f] for i in range(f))
-    new_x = tuple(xi.shift(combined[i]) for i, xi in enumerate(M.x))
-    M2 = PhiExtension(N_target, P_target, new_x)
-    return M2, TransportReport(cP, cN, combined)
-
-
-def twist_extension(M: PhiExtension, shift: Sequence[int], c: FieldElem) -> PhiExtension:
-    """Tensor with the rank-one module of exponents ``shift`` and scalar c.
-
-    Both diagonal exponents rise by shift_i and the parameter at i picks up
-    (c)_i u^{shift_i}.
-    """
-    f = M.f
-    if len(shift) != f:
-        raise ValueError("shift length mismatch")
-    if any(si < 0 for si in shift):
-        raise ValueError("twist exponents must be >= 0")
-    new_x = tuple(
-        xi.shift(shift[i]).scale(_scalar_at(c, i, f)) for i, xi in enumerate(M.x)
-    )
-    return PhiExtension(
-        twist_rank_one(M.quotient, shift, c),
-        twist_rank_one(M.sub, shift, c),
-        new_x,
-    )

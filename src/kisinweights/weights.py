@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
-from .rankone import EmbeddingSet, embedding_set
+from .rankone import EmbeddingSet
 
 
 @dataclass(frozen=True)
@@ -256,14 +255,15 @@ def btheta_table(w: Weight) -> HTWeightTable:
     return companion_sides(w)[-1].table
 
 
-def st_sequences(
-    table: HTWeightTable, J: Sequence[int] | EmbeddingSet
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a table along a carrier set: s picks b_1 on J, t the complement."""
-    Jset = embedding_set(table.f, J)
+def st_sequences(table: HTWeightTable, J: EmbeddingSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a table along a carrier set: s picks b_1 on J, t the complement.
+
+    J must already be reduced mod f (as embedding_set returns it); an index
+    outside range(f) is ignored, not reduced.
+    """
     s, t = [], []
     for i, (b1, b2) in enumerate(table.rows):
-        if i in Jset:
+        if i in J:
             s.append(b1)
             t.append(b2)
         else:

@@ -3,13 +3,15 @@ itself no longer needs, kept as oracles for the code that replaced them."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
-from kisinweights.field import Context
+from kisinweights.field import Context, FieldElem
 from kisinweights.matching import check_congruence
 from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set
+from kisinweights.ranktwo import PhiExtension, _scalar_at
 from kisinweights.weights import HTWeightTable, Weight, companion_sides, ht_table, st_sequences
 
 # ---------------------------------------------------------------------------
@@ -82,6 +84,76 @@ def tS_iso(ctx: Context, N1: RankOneKisin, N2: RankOneKisin) -> bool:
     return N1.a == N2.a and inertial_char(ctx, N1) == inertial_char(ctx, N2)
 
 
+def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankOneKisin:
+    """Tensor with the rank-one module of exponents ``shift`` and scalar c."""
+    if len(shift) != N.f:
+        raise ValueError("shift length mismatch")
+    return RankOneKisin(N.p, tuple(ri + si for ri, si in zip(N.r, shift)), N.a * c)
+
+
+# ---------------------------------------------------------------------------
+# rank-two extensions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TransportReport:
+    """Witness data for a reverse transport: the two line maps used."""
+
+    sub_exponents: tuple[int, ...]  # map  sub(M) -> P_target
+    quotient_exponents: tuple[int, ...]  # map  N_target -> quotient(M)
+    combined: tuple[int, ...]  # parameter rescaling exponents per index
+
+
+def transport_reverse(
+    M: PhiExtension, N_target: RankOneKisin, P_target: RankOneKisin
+) -> tuple[PhiExtension, TransportReport]:
+    """Pull the quotient line back while pushing the sub line forward.
+
+    Uses maps sub(M) -> P_target and N_target -> quotient(M); the parameter
+    at index i is rescaled by u to the power  cP_i + p * cN_{i-1}.  Each
+    parameter must be a constant or u times a constant.
+    """
+    cP = _hom_twist(M.sub, P_target)
+    if cP is None:
+        raise ValueError("no map on the sub line")
+    cN = _hom_twist(N_target, M.quotient)
+    if cN is None:
+        raise ValueError("no map into the quotient line")
+    f = M.f
+    for xi in M.x:
+        if xi.is_zero() or xi.degree() == 0:
+            continue
+        if xi.degree() == 1 and xi.coefficient(0).is_zero():
+            continue
+        raise ValueError("parameters must be constants or u times constants")
+    combined = tuple(cP[i] + M.p * cN[(i - 1) % f] for i in range(f))
+    new_x = tuple(xi.shift(combined[i]) for i, xi in enumerate(M.x))
+    M2 = PhiExtension(N_target, P_target, new_x)
+    return M2, TransportReport(cP, cN, combined)
+
+
+def twist_extension(M: PhiExtension, shift: Sequence[int], c: FieldElem) -> PhiExtension:
+    """Tensor with the rank-one module of exponents ``shift`` and scalar c.
+
+    Both diagonal exponents rise by shift_i and the parameter at i picks up
+    (c)_i u^{shift_i}.
+    """
+    f = M.f
+    if len(shift) != f:
+        raise ValueError("shift length mismatch")
+    if any(si < 0 for si in shift):
+        raise ValueError("twist exponents must be >= 0")
+    new_x = tuple(
+        xi.shift(shift[i]).scale(_scalar_at(c, i, f)) for i, xi in enumerate(M.x)
+    )
+    return PhiExtension(
+        twist_rank_one(M.quotient, shift, c),
+        twist_rank_one(M.sub, shift, c),
+        new_x,
+    )
+
+
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
@@ -96,10 +168,10 @@ def congruence_doc(ctx: Context, w: Weight, J, carriers) -> dict:
     """Per-side verdicts of the weighted congruences between the split of
     (w, J) and each side's split along its carrier, as forward ``match``
     reports them; ``carriers`` follows companion_sides(w)."""
-    s, t = st_sequences(ht_table(w), J)
+    s, t = st_sequences(ht_table(w), embedding_set(w.f, J))
     out = {}
     for side, Jside in zip(companion_sides(w), carriers):
-        ss, ts = st_sequences(side.table, Jside)
+        ss, ts = st_sequences(side.table, embedding_set(w.f, Jside))
         out[side.name] = {
             "upper": check_congruence(ctx.p, s, ss, ctx.m1),
             "lower": check_congruence(ctx.p, t, ts, ctx.m1),

@@ -222,6 +222,15 @@ def test_verify_refuses_k_on_suites_without_a_weight(capsys, suite):
     assert doc["detail"] == {"reason": "suite takes no --k"}
 
 
+@pytest.mark.parametrize("suite", ["alpha-tables", "exceptional", "irr-equiv"])
+def test_verify_refuses_a_size_with_no_valid_weight(capsys, suite):
+    # at f = 1 every weight is regular or (1)
+    code, out = run(capsys, "verify", "--suite", suite, "--p", "5", "--f", "1")
+    doc = json.loads(out)
+    assert code == EXIT_USAGE and doc["outcome"] == "refused"
+    assert doc["detail"] == {"reason": "no valid irregular weight at this size"}
+
+
 def test_verify_determinism(capsys):
     _, a = run(capsys, "verify", "--suite", "alpha-id", "--p", "3", "--f", "2")
     _, b = run(capsys, "verify", "--suite", "alpha-id", "--p", "3", "--f", "2")

@@ -5,7 +5,7 @@ slope check against integer_slopes."""
 from hypothesis import given, settings, strategies as st
 
 from kisinweights.matching import check_congruence
-from kisinweights.rankone import exponents_from_slopes, integer_slopes, weighted_sum
+from kisinweights.rankone import embedding_set, exponents_from_slopes, integer_slopes, weighted_sum
 from kisinweights.weights import HTWeightTable, st_sequences
 from oracles import check_congruence_by_powers, st_sequences_two_pass, weighted_sum_by_powers
 
@@ -47,8 +47,8 @@ def test_check_congruence_by_horner_matches_powers(case):
 
 @st.composite
 def split_cases(draw):
-    """(table, J) with rows of any sign and J given by raw indices, which
-    st_sequences reduces mod f."""
+    """(table, J) with rows of any sign and J given by raw indices: the
+    two-pass oracle reduces them mod f, st_sequences takes them reduced."""
     p, f = draw(primes), draw(lengths)
     rows = draw(st.lists(st.tuples(st.integers(-2 * p, 2 * p), st.integers(-2 * p, 2 * p)), min_size=f, max_size=f))
     J = draw(st.lists(st.integers(-f, 2 * f - 1), max_size=f))
@@ -59,7 +59,7 @@ def split_cases(draw):
 @given(split_cases())
 def test_one_pass_split_matches_two_passes(case):
     table, J = case
-    assert st_sequences(table, J) == st_sequences_two_pass(table, J)
+    assert st_sequences(table, embedding_set(table.f, J)) == st_sequences_two_pass(table, J)
 
 
 @st.composite

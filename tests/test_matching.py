@@ -330,7 +330,7 @@ def per_side_exceptional_report(ctx, w):
 
 def test_exceptional_report_matches_per_side_oracle():
     hits = 0
-    for p, f in ORACLE_SIZES:
+    for p, f in [*ORACLE_SIZES, (7, 3)]:
         ctx = Context(p, f, 1)
         for w in valid_weights(p, f):
             report = exceptional_audit(ctx, w)

@@ -20,10 +20,9 @@ from kisinweights.rankone import (
     integer_slopes,
     jmax,
     necessary_map_conditions,
-    twist_rank_one,
     weighted_sum,
 )
-from oracles import alpha_diff, hom_exponents, inertial_char, tS_iso
+from oracles import alpha_diff, hom_exponents, inertial_char, tS_iso, twist_rank_one
 
 F3 = make_field(3, 1)
 ONE = F3.one

@@ -14,9 +14,8 @@ from kisinweights.ranktwo import (
     check_phi_morphism,
     generically_invertible,
     transport_forward,
-    transport_reverse,
-    twist_extension,
 )
+from oracles import transport_reverse, twist_extension
 
 F3 = make_field(3, 1)
 ONE = F3.one
