@@ -51,8 +51,7 @@ from .matching import (
 )
 from .quadratic import irr_equivalence_audit
 from .rankone import (
-    RankOneKisin,
-    alpha,
+    alpha_seq,
     decompose_cyclic,
     embedding_subsets,
     exponents_from_slopes,
@@ -358,13 +357,11 @@ def suite_pprime(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 def suite_alpha_id(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     p, f = ctx.p, ctx.f
-    one = ctx.coefficient_field().one
     checked = 0
     for r in itertools.product(range(p + 1), repeat=f):
-        N = RankOneKisin(p, r, one)
         for i in range(f):
             checked += 1
-            if alpha(N, i) + r[i % f] != p * alpha(N, i - 1):
+            if alpha_seq(p, r, i) + r[i % f] != p * alpha_seq(p, r, i - 1):
                 return {"outcome": "fail", "counterexample": {"r": r, "i": i}}
     return {"outcome": "pass", "identities_checked": checked}
 
@@ -405,16 +402,14 @@ def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    """Audit one unit pair per J.  By the audit's scalar invariance it stands
-    for all (|F|-1)^2 pairs, and families_transported counts them all.  The
-    pair avoids 1 where the field has other units."""
+    """Audit every J.  The audit reads no unit pair, so each side's family
+    stands for all (p^d-1)^2 of them, and families_transported counts them
+    in closed form."""
     w = Weight(ctx.p, k)
-    units = list(ctx.coefficient_field().units())
-    a, b = units[-1], units[len(units) // 2]
     families = 0
     for J in embedding_subsets(ctx.f):
-        families += len(subspace_transport_audit(ctx, w, J, a, b).sides)
-    return {"outcome": "pass", "families_transported": families * len(units) ** 2}
+        families += len(subspace_transport_audit(ctx, w, J).sides)
+    return {"outcome": "pass", "families_transported": families * (ctx.p**ctx.d - 1) ** 2}
 
 
 def suite_irr_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:

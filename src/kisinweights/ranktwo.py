@@ -114,15 +114,6 @@ def check_phi_morphism(g: PhiMorphism, src: PhiExtension, dst: PhiExtension) -> 
     return True
 
 
-def generically_invertible(g: PhiMorphism) -> bool:
-    """Whether every per-index matrix has nonzero determinant (invertible after u is inverted)."""
-    for A in g.matrices:
-        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        if det.is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # normal-form constructor
 # ---------------------------------------------------------------------------

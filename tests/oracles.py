@@ -8,11 +8,18 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
-from kisinweights.field import Context, FieldElem
-from kisinweights.matching import check_congruence
+from kisinweights.field import Context, FieldElem, UPoly
+from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
 from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set
-from kisinweights.ranktwo import PhiExtension, _scalar_at
-from kisinweights.weights import HTWeightTable, Weight, companion_sides, ht_table, st_sequences
+from kisinweights.ranktwo import PhiExtension, PhiMorphism, _scalar_at, transport_forward
+from kisinweights.weights import (
+    HTWeightTable,
+    Weight,
+    companion_sides,
+    ht_table,
+    set_J0,
+    st_sequences,
+)
 
 # ---------------------------------------------------------------------------
 # characters
@@ -152,6 +159,71 @@ def twist_extension(M: PhiExtension, shift: Sequence[int], c: FieldElem) -> PhiE
         twist_rank_one(M.sub, shift, c),
         new_x,
     )
+
+
+def generically_invertible(g: PhiMorphism) -> bool:
+    """Whether every per-index matrix has nonzero determinant (invertible after u is inverted)."""
+    for A in g.matrices:
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        if det.is_zero():
+            return False
+    return True
+
+
+def basis_transport_audit(ctx: Context, w: Weight, J, a: FieldElem, b: FieldElem) -> TransportAuditReport:
+    """subspace_transport_audit by transporting extensions at the unit pair (a, b).
+
+    Only the zero vector and the F_p-basis e_j*X^i (X^i = F.elem(p**i),
+    0 <= i < d) of each side's family are transported, each through
+    transport_forward and its check_phi_morphism.  Every check is additive
+    in the parameter vector x, so the passing vectors form an F_p-subspace,
+    which holds the family once it holds the basis.  The values X^i matter:
+    1^p = 1, so a basis e_j*1 cannot see a Frobenius-type bug.
+    """
+    f, p = w.f, ctx.p
+    F = ctx.coefficient_field()
+    fs = forward_sets(ctx, w, J)
+    J0 = set_J0(w)
+    s, t = fs.st
+    dim = len(fs.J - J0)
+    zero = (F.zero,) * dim
+    basis = [F.elem(p**i) for i in range(F.d)]
+    vectors = [zero] + [zero[:j] + (c,) + zero[j + 1 :] for j in range(dim) for c in basis]
+
+    for side, Jside, (ssd, tsd) in zip(fs.sides, fs.carriers, fs.splits):
+        name = side.name
+        twist_vec = tuple(1 if i in side.theta else 0 for i in range(f))
+        side_support = sorted(Jside - J0)
+        if len(side_support) != dim:
+            raise AssertionError(f"side {name}: parameter support size differs")
+        N_side = RankOneKisin(p, tuple(si + gi for si, gi in zip(ssd, twist_vec)), a)
+        P_side = RankOneKisin(p, tuple(ti + gi for ti, gi in zip(tsd, twist_vec)), b)
+        N_tgt = RankOneKisin(p, tuple(si + gi for si, gi in zip(s, twist_vec)), a)
+        P_tgt = RankOneKisin(p, tuple(ti + gi for ti, gi in zip(t, twist_vec)), b)
+        for values in vectors:
+            x = [UPoly.zero(F)] * f
+            for i, v in zip(side_support, values):
+                x[i] = UPoly.constant(v)
+            M_tgt, g = transport_forward(PhiExtension(N_side, P_side, x), N_tgt, P_tgt)
+            if not generically_invertible(g):
+                raise AssertionError(f"side {name}: non-invertible transport")
+            # undo the twist on the parameters and compare with the irregular family
+            recovered = []
+            for i in range(f):
+                xi = M_tgt.x[i]
+                if not xi.divides_exactly(twist_vec[i]):
+                    raise AssertionError(f"side {name}: parameter at {i} misses the twist factor")
+                recovered.append(xi.unshift(twist_vec[i]))
+            for i in range(f):
+                if i not in side_support and not recovered[i].is_zero():
+                    raise AssertionError(f"side {name}: unexpected parameter at {i}")
+            got = tuple(recovered[i].coefficient(0) for i in side_support)
+            if any(not recovered[i].is_constant() for i in side_support):
+                raise AssertionError(f"side {name}: transported parameter is not constant")
+            if got != values:
+                raise AssertionError(f"side {name}: parameters changed under transport")
+
+    return TransportAuditReport(dim, F.order**dim, tuple(side.name for side in fs.sides))
 
 
 # ---------------------------------------------------------------------------

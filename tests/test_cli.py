@@ -532,3 +532,18 @@ def test_transport_at_d2(capsys, p, families):
     doc = json.loads(out)
     assert code == EXIT_OK and doc["outcome"] == "pass"
     assert doc["detail"] == {"families_transported": families}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "alpha-id", "--p", "5", "--f", "2", "--d", "3"],
+        ["--suite", "transport", "--p", "5", "--f", "3", "--d", "3", "--k", "1,3,4"],
+    ],
+)
+def test_slope_suites_build_no_coefficient_field(monkeypatch, capsys, argv):
+    """alpha-id and transport read only exponents: no GF(p^d) is built, so
+    the cost of a run does not grow with --d."""
+    monkeypatch.setattr(Context, "coefficient_field", broken)
+    code, out = run(capsys, "verify", *argv)
+    assert code == EXIT_OK and json.loads(out)["outcome"] == "pass"

@@ -170,32 +170,26 @@ def test_exceptional_audit():
 
 
 def test_transport_audit_full():
-    ctx = Context(3, 2, 1)
-    F = ctx.coefficient_field()
-    for w in valid_weights(3, 2):
-        for J in subsets(2):
-            for a in F.units():
-                for b in F.units():
-                    report = subspace_transport_audit(ctx, w, J, a, b)
-                    assert report.family_size == F.order**report.dim
-                    assert report.dim == len(J - set_J0(w))
+    for d in (1, 2):
+        ctx = Context(3, 2, d)
+        for w in valid_weights(3, 2):
+            for J in subsets(2):
+                report = subspace_transport_audit(ctx, w, J)
+                assert report.family_size == ctx.coefficient_field().order ** report.dim
+                assert report.dim == len(J - set_J0(w))
 
 
 @pytest.mark.parametrize("audit", ["appendix_alpha_audit", "subspace_transport_audit"])
 def test_audits_split_each_carrier_once(monkeypatch, audit):
     ctx = Context(3, 3, 1)
-    one = ctx.coefficient_field().one
-    run = {
-        "appendix_alpha_audit": lambda w, J: appendix_alpha_audit(ctx, w, J),
-        "subspace_transport_audit": lambda w, J: subspace_transport_audit(ctx, w, J, one, one),
-    }[audit]
+    run = getattr(matching, audit)
     calls = []
     real = matching.st_sequences
     monkeypatch.setattr(matching, "st_sequences", lambda table, J: calls.append(J) or real(table, J))
     for w in valid_weights(3, 3):
         for J in subsets(3):
             calls.clear()
-            run(w, J)
+            run(ctx, w, J)
             # the irregular split, then one split per side, all inside forward_sets
             assert len(calls) == 1 + len(companion_sides(w)), (w.k, J)
 

@@ -12,10 +12,9 @@ from kisinweights.ranktwo import (
     PhiMorphism,
     build_extension,
     check_phi_morphism,
-    generically_invertible,
     transport_forward,
 )
-from oracles import transport_reverse, twist_extension
+from oracles import generically_invertible, transport_reverse, twist_extension
 
 F3 = make_field(3, 1)
 ONE = F3.one
