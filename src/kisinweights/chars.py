@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .field import Context
+from .rankone import weighted_sum
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,7 @@ def char_of_exponents(ctx: Context, exps: Sequence[int], niveau: int = 1) -> Ine
     n = niveau * ctx.f
     if len(exps) != n:
         raise ValueError(f"expected {n} exponents, got {len(exps)}")
-    total = sum(r * ctx.p ** (n - 1 - i) for i, r in enumerate(exps))
-    return InertialChar(ctx.p, ctx.f, niveau, total)
+    return InertialChar(ctx.p, ctx.f, niveau, weighted_sum(ctx.p, exps))
 
 
 def extend_to_quadratic(a: InertialChar) -> InertialChar:

@@ -35,7 +35,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .field import Context
@@ -86,15 +85,13 @@ EXIT_USAGE = 2
 def jsonable(x: Any) -> Any:
     """Convert a value into deterministic JSON-safe data.
 
-    Big integers become decimal strings, sets become sorted lists, exact
-    rationals become "a/b" strings, dataclasses become dicts.
+    Big integers become decimal strings, sets become sorted lists,
+    dataclasses become dicts.
     """
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
     if isinstance(x, int):
         return str(x) if abs(x) >= JSON_INT_LIMIT else x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (frozenset, set)):
         return [jsonable(v) for v in sorted(x)]
     if isinstance(x, (list, tuple)):
@@ -589,8 +586,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     shard_i, shard_n = args.shard
 
     def lines() -> Iterator[str]:
-        weights = sorted(_valid_weights(ctx.p, ctx.f), key=lambda w: w.k)
-        for unit, (w, J) in enumerate(itertools.product(weights, embedding_subsets(ctx.f))):
+        units = itertools.product(_valid_weights(ctx.p, ctx.f), embedding_subsets(ctx.f))
+        for unit, (w, J) in enumerate(units):
             if unit % shard_n != shard_i:
                 continue
             fs = forward_sets(ctx, w, J)

@@ -15,7 +15,7 @@ decides it with no field element (see subspace_transport_audit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .chars import InertialChar, SemisimpleShape, char_of_exponents
 from .field import Context
@@ -27,6 +27,7 @@ from .rankone import (
     exponents_from_slopes,
     in_Pprime,
     integer_slopes,
+    weighted_sum,
 )
 from .weights import (
     BlockDecomposition,
@@ -95,13 +96,9 @@ def semisimple_decide(ctx: Context, shape: SemisimpleShape, table: HTWeightTable
 
 def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[int]]:
     """All unordered character-exponent pairs realized by carrier sets of a table."""
-    out = set()
-    for J in embedding_subsets(table.f):
-        s, t = st_sequences(table, J)
-        e1 = char_of_exponents(ctx, s).exponent
-        e2 = char_of_exponents(ctx, t).exponent
-        out.add(frozenset((e1, e2)))
-    return frozenset(out)
+    p, m = ctx.p, ctx.m1
+    splits = (st_sequences(table, J) for J in embedding_subsets(table.f))
+    return frozenset(frozenset((weighted_sum(p, s) % m, weighted_sum(p, t) % m)) for s, t in splits)
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +245,32 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
+def _agreements(
+    points: Iterable, hits: Callable[[frozenset, Any], bool], A: frozenset, side_sets: Sequence[frozenset]
+) -> list[tuple[Any, bool, bool, bool]]:
+    """Each point, in order, at which the three verdicts of the equivalence
+    differ, with the verdicts: the irregular table hits it (A), the base and
+    fully marked sides both do, the base and every marked side all do.
+    side_sets lists the sides' achievable sets in companion_sides order."""
+    Ap, *Amu, Ath = side_sets
+    bad = []
+    for x in points:
+        a = hits(A, x)
+        b = hits(Ap, x) and hits(Ath, x)
+        c = hits(Ap, x) and all(hits(Am, x) for Am in Amu)
+        if not a == b == c:
+            bad.append((x, a, b, c))
+    return bad
+
+
 def _pair_report(m: int, A: frozenset, side_sets: Sequence[frozenset]) -> EquivalenceReport:
     """Verdict over all m^2 ordered pairs mod m, given the achievable pairs of
     the irregular table and of each side.  A pair no table achieves is in no
     shape and so agrees: only the union's pairs are evaluated, ascending."""
-    Ap, *Amu, Ath = side_sets
     union = A.union(*side_sets)
-    bad = []
-    for e1, e2 in sorted((x, y) for pair in union for x in pair for y in pair if {x, y} == pair):
-        pair = frozenset((e1, e2))
-        a = pair in A
-        b = pair in Ap and pair in Ath
-        c = pair in Ap and all(pair in am for am in Amu)
-        if not a == b == c:
-            bad.append((e1, e2, a, b, c))
-    return EquivalenceReport(m * m, m * m - len(bad), tuple(bad))
+    points = sorted((x, y) for pair in union for x in pair for y in pair if {x, y} == pair)
+    bad = _agreements(points, lambda S, xy: frozenset(xy) in S, A, side_sets)
+    return EquivalenceReport(m * m, m * m - len(bad), tuple((*xy, a, b, c) for xy, a, b, c in bad))
 
 
 def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:

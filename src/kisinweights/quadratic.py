@@ -11,7 +11,10 @@ This module provides the rebalancing algorithm turning an arbitrary carrier
 with conjugate-symmetric characters into a balanced one, the forward carrier
 rewritings from an irregular weight to its regular companion weights, the
 backward reconstruction, and the equivalence audit over niveau-2 character
-exponents.
+exponents.  Each applies a niveau-1 rule to the doubled data: the exponents
+split the table with rows doubled, the forward carriers are the companion
+carrier rule of the weight with k doubled, and the audit runs the agreement
+loop of the semisimple one.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .chars import frobenius_stable
-from .matching import DichotomyError
-from .rankone import decompose_cyclic
+from .matching import DichotomyError, _agreements, _side_carrier
+from .rankone import decompose_cyclic, embedding_subsets, weighted_sum
 from .weights import (
-    BlockDecomposition,
     HTWeightTable,
     Weight,
     blocks,
@@ -32,6 +34,7 @@ from .weights import (
     ht_table,
     is_regular,
     set_J0,
+    st_sequences,
     validate_irregular,
 )
 
@@ -55,32 +58,32 @@ def balanced_sets(f: int) -> Iterable[QuadSet]:
         yield frozenset(i + f * b for i, b in zip(range(f), picks))
 
 
-def char_exponent(table: HTWeightTable, J: Iterable[int]) -> int:
-    """Exponent mod p^{2f}-1 of the character cut out by the carrier J.
+def _exponents(table: HTWeightTable, J: Iterable[int]) -> tuple[int, int]:
+    """Exponents mod p^{2f}-1 of the two characters cut out by the carrier J.
 
-    Index q carries the first table entry of q mod f when q is in J and the
-    second otherwise, weighted by p^{2f-1-q}.
+    Index q carries row q mod f, so they are the weighted sums of the split
+    of the doubled table HTWeightTable(p, rows*2) along J: the first takes
+    b_1 on J and b_2 off it, the second the reverse.
     """
     p, f = table.p, table.f
     mod = p ** (2 * f) - 1
-    Jset = quad_set(f, J)
-    total = 0
-    for q in range(2 * f):
-        b1, b2 = table.rows[q % f]
-        total += (b1 if q in Jset else b2) * p ** (2 * f - 1 - q)
-    return total % mod
+    s, t = st_sequences(HTWeightTable(p, table.rows * 2), quad_set(f, J))
+    return weighted_sum(p, s) % mod, weighted_sum(p, t) % mod
+
+
+def char_exponent(table: HTWeightTable, J: Iterable[int]) -> int:
+    """Exponent mod p^{2f}-1 of the character cut out by the carrier J."""
+    return _exponents(table, J)[0]
 
 
 def complement_exponent(table: HTWeightTable, J: Iterable[int]) -> int:
     """Exponent of the opposite character (table entries swapped on J)."""
-    f = table.f
-    Jset = quad_set(f, J)
-    return char_exponent(table, frozenset(range(2 * f)) - Jset)
+    return _exponents(table, J)[1]
 
 
 def induced_pair(table: HTWeightTable, J: Iterable[int]) -> frozenset[int]:
     """Unordered pair of the two character exponents cut out by J."""
-    return frozenset((char_exponent(table, J), complement_exponent(table, J)))
+    return frozenset(_exponents(table, J))
 
 
 def conjugate_symmetric(table: HTWeightTable, J: Iterable[int]) -> bool:
@@ -90,10 +93,8 @@ def conjugate_symmetric(table: HTWeightTable, J: Iterable[int]) -> bool:
     e_s = p^f * e_t mod p^{2f}-1.  Every balanced carrier satisfies it.
     """
     p, f = table.p, table.f
-    mod = p ** (2 * f) - 1
-    e_s = char_exponent(table, J)
-    e_t = complement_exponent(table, J)
-    return (e_s - e_t * p**f) % mod == 0
+    e_s, e_t = _exponents(table, J)
+    return (e_s - e_t * p**f) % (p ** (2 * f) - 1) == 0
 
 
 def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
@@ -168,27 +169,6 @@ class ForwardWitnesses:
     theta: QuadSet
 
 
-def _lift_in(J: QuadSet, i: int, f: int) -> int:
-    """The lift of index i that lies in the balanced carrier J."""
-    return i if i in J else i + f
-
-
-def _witness(
-    f: int, J: QuadSet, J0: frozenset[int], bd: BlockDecomposition, theta: frozenset[int]
-) -> QuadSet:
-    """Carrier for a companion side: on each block's trailing k=1 run, take
-    the lifts following the marked element's in-J lift (or the opposite lift
-    for the blocks whose marked element is in the side's ``theta``)."""
-    out = {q for q in J if q % f not in J0}
-    for blk in bd.blocks:
-        anchor = _lift_in(J, blk.nu, f)
-        if blk.nu in theta:
-            anchor = (anchor + f) % (2 * f)
-        for n in range(1, len(blk.tail) + 1):
-            out.add((anchor + n) % (2 * f))
-    return frozenset(out)
-
-
 def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
     """Balanced carriers for the companion weights of an irregular weight.
 
@@ -204,10 +184,12 @@ def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
         return ForwardWitnesses(Jset, {}, Jset)
     validate_irregular(w)
 
-    J0, bd = set_J0(w), blocks(w)
+    # the linear carrier rule on the doubled weight, each theta on both copies
+    w2 = Weight(w.p, w.k * 2)
+    J0, bd = set_J0(w2), blocks(w2)
     source_pair = induced_pair(ht_table(w), Jset)
     sides = companion_sides(w)
-    carriers = [_witness(f, Jset, J0, bd, side.theta) for side in sides]
+    carriers = [_side_carrier(Jset, J0, bd, side.theta | {i + f for i in side.theta}) for side in sides]
     for side, Jw in zip(sides, carriers):
         if not is_balanced(f, Jw):
             raise AssertionError("forward carrier is not balanced")
@@ -299,7 +281,12 @@ class IrrEquivalenceReport:
 
 
 def _achievable(table: HTWeightTable) -> frozenset[int]:
-    return frozenset(char_exponent(table, J) for J in balanced_sets(table.f))
+    """Exponents of the balanced carriers.  The one holding K on the first
+    copy holds the complement of K on the second, so it splits the doubled
+    table as s + t, where (s, t) splits the table along K."""
+    p, mod = table.p, table.p ** (2 * table.f) - 1
+    splits = (st_sequences(table, K) for K in embedding_subsets(table.f))
+    return frozenset(weighted_sum(p, s + t) % mod for s, t in splits)
 
 
 def _exponent_report(
@@ -311,21 +298,12 @@ def _exponent_report(
     exponent off the union of the sets and their conjugates agrees: only that
     union is evaluated, ascending."""
     mod = p ** (2 * f) - 1
-    A_base, *A_mus, A_theta = side_sets
-
-    def hits(A: frozenset[int], e: int) -> bool:
-        return e in A or (e * p**f) % mod in A
-
+    hits = lambda A, e: e in A or (e * p**f) % mod in A
     union = A_irr.union(*side_sets)
     closed = union | {(u * p**f) % mod for u in union}
-    bad = []
-    for e in sorted(e for e in closed if not frobenius_stable(p, f, e)):
-        has_irr = hits(A_irr, e)
-        has_theta_route = hits(A_base, e) and hits(A_theta, e)
-        has_mu_route = hits(A_base, e) and all(hits(A, e) for A in A_mus)
-        if not (has_irr == has_theta_route == has_mu_route):
-            bad.append(e)
-    return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(bad))
+    points = sorted(e for e in closed if not frobenius_stable(p, f, e))
+    bad = _agreements(points, hits, A_irr, side_sets)
+    return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(e for e, *_ in bad))
 
 
 def irr_equivalence_audit(w: Weight) -> IrrEquivalenceReport:

@@ -119,12 +119,7 @@ def check_phi_morphism(g: PhiMorphism, src: PhiExtension, dst: PhiExtension) -> 
 # ---------------------------------------------------------------------------
 
 
-def build_extension(
-    ext: ExtensionType,
-    x: Sequence[UPoly],
-    d: int = 1,
-    allow_exceptional: bool = True,
-) -> PhiExtension:
+def build_extension(ext: ExtensionType, x: Sequence[UPoly]) -> PhiExtension:
     """Assemble the normal-form extension attached to an extension type.
 
     Parameters x_i must be constants supported on J away from r_i = 0.  In
@@ -134,7 +129,7 @@ def build_extension(
     f = ext.f
     if len(x) != f:
         raise ValueError("need one parameter per index")
-    exceptional = allow_exceptional and exceptional_case(ext)
+    exceptional = exceptional_case(ext)
     all_zero = all(ri == 0 for ri in ext.r)
     extra_used = 0
     for i, xi in enumerate(x):

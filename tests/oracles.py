@@ -10,9 +10,11 @@ from typing import Any, Sequence
 from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.field import Context, FieldElem, UPoly
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
-from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set
+from kisinweights.quadratic import balanced_sets, quad_set
+from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set, embedding_subsets
 from kisinweights.ranktwo import PhiExtension, PhiMorphism, _scalar_at, transport_forward
 from kisinweights.weights import (
+    BlockDecomposition,
     HTWeightTable,
     Weight,
     companion_sides,
@@ -249,6 +251,63 @@ def congruence_doc(ctx: Context, w: Weight, J, carriers) -> dict:
             "lower": check_congruence(ctx.p, t, ts, ctx.m1),
         }
     return out
+
+
+# ---------------------------------------------------------------------------
+# the quadratic frame restated on Z/2f
+# ---------------------------------------------------------------------------
+
+
+def lift_in(J, i: int, f: int) -> int:
+    """The lift of index i that lies in the balanced carrier J."""
+    return i if i in J else i + f
+
+
+def quad_witness(f: int, J, J0, bd: BlockDecomposition, theta) -> frozenset[int]:
+    """Carrier for a companion side: on each block's trailing k=1 run, take
+    the lifts following the marked element's in-J lift (or the opposite lift
+    for the blocks whose marked element is in the side's ``theta``)."""
+    out = {q for q in J if q % f not in J0}
+    for blk in bd.blocks:
+        anchor = lift_in(J, blk.nu, f)
+        if blk.nu in theta:
+            anchor = (anchor + f) % (2 * f)
+        for n in range(1, len(blk.tail) + 1):
+            out.add((anchor + n) % (2 * f))
+    return frozenset(out)
+
+
+def char_exponent_by_powers(table: HTWeightTable, J) -> int:
+    """Exponent mod p^{2f}-1 of the character of J: index q carries the first
+    entry of row q mod f on J and the second off it, weighted by p^{2f-1-q}."""
+    p, f = table.p, table.f
+    Jset = quad_set(f, J)
+    total = 0
+    for q in range(2 * f):
+        b1, b2 = table.rows[q % f]
+        total += (b1 if q in Jset else b2) * p ** (2 * f - 1 - q)
+    return total % (p ** (2 * f) - 1)
+
+
+def complement_exponent_by_powers(table: HTWeightTable, J) -> int:
+    """Exponent of the opposite character: the character of the complement of J."""
+    return char_exponent_by_powers(table, frozenset(range(2 * table.f)) - quad_set(table.f, J))
+
+
+def achievable_by_balanced_sets(table: HTWeightTable) -> frozenset[int]:
+    """Character exponents of all balanced carriers, one carrier at a time."""
+    return frozenset(char_exponent_by_powers(table, J) for J in balanced_sets(table.f))
+
+
+def achievable_pairs_by_chars(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[int]]:
+    """Unordered exponent pairs of all carrier sets, through InertialChar."""
+    out = set()
+    for J in embedding_subsets(table.f):
+        s, t = st_sequences(table, J)
+        e1 = InertialChar(ctx.p, ctx.f, 1, weighted_sum_by_powers(ctx.p, s)).exponent
+        e2 = InertialChar(ctx.p, ctx.f, 1, weighted_sum_by_powers(ctx.p, t)).exponent
+        out.add(frozenset((e1, e2)))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
-from kisinweights.matching import DichotomyError
+import oracles
+from kisinweights.field import Context
+from kisinweights.matching import DichotomyError, achievable_pairs
 from kisinweights.quadratic import (
+    _achievable,
     balanced_sets,
     char_exponent,
     complement_exponent,
@@ -19,10 +22,13 @@ from kisinweights.quadratic import (
 )
 from kisinweights.weights import (
     Weight,
+    blocks,
     bmu_table,
     bprime_table,
     btheta_table,
+    companion_sides,
     ht_table,
+    set_J0,
     set_Mtilde,
     validate_irregular,
 )
@@ -145,6 +151,28 @@ def test_irr_forward_regular_identity():
     assert fw.base == fw.theta == {0, 1} and fw.mus == {}
 
 
+def test_doubled_frame_matches_the_restated_rules():
+    # the quadratic frame is the linear one on the doubled data: the carrier
+    # rule of the doubled weight with theta on both copies, the exponents of
+    # the doubled table's split, and a balanced exponent as weighted_sum(s + t)
+    for p, f in ((3, 2), (3, 3), (5, 2), (3, 4), (5, 3), (7, 3)):
+        ctx = Context(p, f, 1)
+        for w in valid_weights(p, f):
+            sides = companion_sides(w)
+            tables = [ht_table(w)] + [side.table for side in sides]
+            for table in tables:
+                assert _achievable(table) == oracles.achievable_by_balanced_sets(table)
+                assert achievable_pairs(ctx, table) == oracles.achievable_pairs_by_chars(ctx, table)
+                for J in subsets(2 * f) if f <= 3 else ():
+                    assert char_exponent(table, J) == oracles.char_exponent_by_powers(table, J)
+                    assert complement_exponent(table, J) == oracles.complement_exponent_by_powers(table, J)
+            J0, bd = set_J0(w), blocks(w)
+            for J in balanced_sets(f):
+                fw = irr_forward(w, J)
+                got = [fw.base, *(fw.mus[min(side.theta)] for side in sides[1:-1]), fw.theta]
+                assert got == [oracles.quad_witness(f, J, J0, bd, side.theta) for side in sides]
+
+
 def test_irr_backward_roundtrip():
     for w in valid_weights(3, 2):
         table = ht_table(w)
@@ -194,8 +222,6 @@ def test_equivalence_audit_refuses_invalid():
 
 def test_existence_invariant_under_conjugation():
     # hitting {e, p^f e} is symmetric by construction; check through the API
-    from kisinweights.quadratic import _achievable
-
     w = Weight(3, (3, 1))
     A = _achievable(ht_table(w))
     mod = 80
