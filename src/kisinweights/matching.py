@@ -146,6 +146,31 @@ def _side_carrier(
     return frozenset(out)
 
 
+def companion_carriers(w: Weight, J: EmbeddingSet) -> tuple[EmbeddingSet, ...]:
+    """The carrier set of each side of companion_sides(w) attached to (w, J), J reduced mod f."""
+    J0, bd = set_J0(w), blocks(w)
+    return tuple(_side_carrier(J, J0, bd, side.theta) for side in companion_sides(w))
+
+
+def basis_carriers(f: int) -> list[EmbeddingSet]:
+    """Z/f and its f neighbours Z/f - {b}, b ascending.  A weight's
+    forward_sets congruences and appendix_alpha_audit tables hold at every
+    carrier set once they hold at these f+1.
+
+    Every quantity the two compare at index i reads one bit of J: i in J off
+    J0; nu in J on a block's 1-tail, where _side_carrier makes every side's
+    membership a function of it; and the irregular split is 0 at a k = 1
+    index either way.  So each compared vector (ss - s, ts - t, sp - sm, sg,
+    tg, every want, hence p*want_{i-1} - want_i) and each weighted-sum
+    congruence difference mod m is affine on {0,1}^f:
+    G(J) = G(Z/f) + sum over b not in J of (G(Z/f - {b}) - G(Z/f)).  The
+    base-vs-marked checks live on the face mu in J, which holds Z/f and every
+    neighbour but Z/f - {mu}; these determine an affine function there too.
+    """
+    full = frozenset(range(f))
+    return [full, *(full - {b} for b in range(f))]
+
+
 def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     """Build the companion carrier sets and verify the weighted congruences.
 
@@ -156,10 +181,8 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     """
     validate_irregular(w)
     Jset = embedding_set(w.f, J)
-    J0 = set_J0(w)
-    bd = blocks(w)
     sides = companion_sides(w)
-    carriers = tuple(_side_carrier(Jset, J0, bd, side.theta) for side in sides)
+    carriers = companion_carriers(w, Jset)
 
     m = ctx.m1
     s, t = st = st_sequences(ht_table(w), Jset)

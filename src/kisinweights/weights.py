@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .rankone import EmbeddingSet
 
@@ -63,25 +64,31 @@ class HTWeightTable:
         return all(1 <= g <= self.p for g in self.gaps())
 
 
-@lru_cache(maxsize=8)
-def validate_irregular(w: Weight) -> None:
-    """Check that w = (k, 0) is a valid irregular input weight.
+def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Optional[str]:
+    """Why (k, l) is not a valid irregular input weight, or None when it is.
 
     Requires 1 <= k_i <= p, at least one k_i = 1, not all k_i = 1, l = 0, and
     no index with k_i = 2 immediately followed (index i+1) by k_{i+1} = 1.
     """
-    p, k, f = w.p, w.k, w.f
-    if any(li != 0 for li in w.l):
-        raise ValueError("irregular input weights must have l = 0 (normalize the twist first)")
-    if any(not 1 <= ki <= p for ki in k):
-        raise ValueError(f"entries of k must lie in [1, {p}]")
-    if all(ki == 1 for ki in k):
-        raise ValueError("k = (1, ..., 1) is excluded")
-    if all(ki != 1 for ki in k):
-        raise ValueError("weight is regular (no k_i = 1)")
-    for i in range(f):
-        if k[i] == 2 and k[(i + 1) % f] == 1:
-            raise ValueError(f"forbidden (2,1) pattern at index {i}")
+    if any(l):
+        return "irregular input weights must have l = 0 (normalize the twist first)"
+    if k and not 1 <= min(k) <= max(k) <= p:
+        return f"entries of k must lie in [1, {p}]"
+    if k.count(1) == len(k):
+        return "k = (1, ..., 1) is excluded"
+    if 1 not in k:
+        return "weight is regular (no k_i = 1)"
+    for i, (a, b) in enumerate(zip(k, k[1:] + k[:1])):
+        if a == 2 and b == 1:
+            return f"forbidden (2,1) pattern at index {i}"
+    return None
+
+
+@lru_cache(maxsize=8)
+def validate_irregular(w: Weight) -> None:
+    """Raise ValueError with irregular_refusal's reason unless w is a valid irregular input."""
+    if (reason := irregular_refusal(w.p, w.k, w.l)) is not None:
+        raise ValueError(reason)
 
 
 def is_regular(w: Weight) -> bool:

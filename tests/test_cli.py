@@ -1,6 +1,7 @@
 """Command-line frontend: documents, exit codes, cache, determinism."""
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -268,13 +269,9 @@ def test_enumerate_sharding(capsys):
     assert single.strip().splitlines() == full_lines
 
 
-@pytest.mark.parametrize("shard", [None, (1, 3)])
-@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (3, 4)])
-def test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard):
-    argv = ["enumerate", "--p", str(p), "--f", str(f)]
-    if shard:
-        argv += ["--shard", f"{shard[0]}/{shard[1]}"]
-    _, out = run(capsys, *argv)
+@functools.lru_cache(maxsize=None)
+def per_unit_lines(p, f):
+    """The line of every (weight, carrier set) unit, each from its own forward_sets."""
     ctx = Context(p, f)
     weights = []
     for k in itertools.product(range(1, p + 1), repeat=f):
@@ -283,14 +280,28 @@ def test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard):
         except ValueError:
             continue
         weights.append(Weight(p, k))
-    expected = []
+    lines = []
     for unit, (w, J) in enumerate(itertools.product(weights, embedding_subsets(f))):
-        if shard and unit % shard[1] != shard[0]:
-            continue
         fs = forward_sets(ctx, w, J)
         record = {"unit": unit, "k": w.k, "J": J, "Jprime": fs.Jprime, "Jtheta": fs.Jtheta, "Jmu": dict(fs.Jmu)}
-        expected.append(json.dumps(jsonable(record), sort_keys=True) + "\n")
-    assert expected and out == "".join(expected)
+        lines.append(json.dumps(jsonable(record), sort_keys=True) + "\n")
+    return tuple(lines)
+
+
+# enumerate proves each weight at its basis carriers and lists the carriers
+# of every unit; a shard count above 2^f leaves whole weights without a unit
+SHARDS = [None, (1, 3), (0, 3), (2, 3)] + [(i, n) for n in (16, 40) for i in (0, 1, n // 2, n - 1)]
+
+
+@pytest.mark.parametrize("shard", SHARDS)
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (3, 4), (5, 3), (5, 4)])
+def test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard):
+    argv = ["enumerate", "--p", str(p), "--f", str(f)]
+    if shard:
+        argv += ["--shard", f"{shard[0]}/{shard[1]}"]
+    code, out = run(capsys, *argv)
+    expected = [line for unit, line in enumerate(per_unit_lines(p, f)) if not shard or unit % shard[1] == shard[0]]
+    assert code == EXIT_OK and out == "".join(expected)
 
 
 def test_enumerate_into_a_closed_pipe_ends_quietly():
@@ -464,18 +475,27 @@ def test_enumerate_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_enumerate_streams_lines(monkeypatch, capsys):
-    # each unit's line is written before the next unit is computed: every
-    # forward_sets call after the first finds exactly one new line
-    seen = []
-    forward = cli.forward_sets
+    # each unit's line is written before the next unit's carriers are
+    # computed: the n-th companion_carriers call finds n lines written.  A
+    # weight's basis proof (forward_sets) runs between weights, before the
+    # carriers of its first unit
+    written = 0
+    seen = {"unit": [], "proof": []}
 
-    def spy(*args):
-        seen.append(capsys.readouterr().out.count("\n"))
-        return forward(*args)
+    def spy(kind, real):
+        def wrapped(*args):
+            nonlocal written
+            written += capsys.readouterr().out.count("\n")
+            seen[kind].append(written)
+            return real(*args)
 
-    monkeypatch.setattr(cli, "forward_sets", spy)
+        return wrapped
+
+    monkeypatch.setattr(cli, "companion_carriers", spy("unit", cli.companion_carriers))
+    monkeypatch.setattr(cli, "forward_sets", spy("proof", cli.forward_sets))
     run(capsys, "enumerate", "--p", "3", "--f", "2")
-    assert seen == [0] + [1] * 7
+    # two weights of four units each, each proven at its three basis carriers
+    assert seen == {"unit": list(range(8)), "proof": [0] * 3 + [4] * 3}
 
 
 def internal_error(*args, **kwargs):

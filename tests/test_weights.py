@@ -12,6 +12,7 @@ from kisinweights.weights import (
     btheta_table,
     companion_sides,
     ht_table,
+    irregular_refusal,
     is_regular,
     set_J0,
     set_M,
@@ -48,6 +49,28 @@ def test_validate():
         validate_irregular(Weight(3, (4, 1)))  # entry above p
     with pytest.raises(ValueError):
         validate_irregular(Weight(3, (3, 1), (0, 1)))  # twisted
+
+
+@pytest.mark.parametrize(
+    "k,l,reason",
+    [
+        ((3, 1), (0, 1), "irregular input weights must have l = 0 (normalize the twist first)"),
+        ((4, 1), (), "entries of k must lie in [1, 3]"),
+        ((0, 1), (), "entries of k must lie in [1, 3]"),
+        ((1, 1), (), "k = (1, ..., 1) is excluded"),
+        ((3, 2), (), "weight is regular (no k_i = 1)"),
+        ((1, 3, 2), (), "forbidden (2,1) pattern at index 2"),  # the pattern wraps round Z/f
+        ((3, 1), (), None),
+    ],
+)
+def test_validate_raises_the_one_refusal_rule(k, l, reason):
+    assert irregular_refusal(3, k, l) == reason
+    if reason is None:
+        validate_irregular(Weight(3, k, l))
+    else:
+        with pytest.raises(ValueError) as err:
+            validate_irregular(Weight(3, k, l))
+        assert str(err.value) == reason
 
 
 def test_index_sets():
