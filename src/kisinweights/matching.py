@@ -5,29 +5,28 @@ companion carrier sets on the regular side and verifies the defining weighted
 congruences.  forward_sets splits each table along its carrier once and
 keeps the checked splits in ForwardSets, which the slope-table and transport
 audits read.  It also reconstructs J from companion data (with the
-per-block dichotomy as precondition), decides semisimple shape membership,
-and audits the extension-space transports.  A transport is a diagonal
-monomial morphism, so each of its compatibility identities is an integer
-statement about the twist exponents of the two line maps, and the audit
-decides it with no field element (see subspace_transport_audit).
+per-block dichotomy as precondition), decides semisimple shape membership
+and its equivalence audit by set algebra on the achievable pairs of
+weights.split_sums, and audits the extension-space transports.  A transport
+is a diagonal monomial morphism, so each of its compatibility identities is
+an integer statement about the twist exponents of the two line maps, and
+the audit decides it with no field element (see subspace_transport_audit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .chars import InertialChar, SemisimpleShape, char_of_exponents
+from .chars import SemisimpleShape
 from .field import Context
 from .rankone import (
     EmbeddingSet,
     alpha_seq,
     embedding_set,
-    embedding_subsets,
     exponents_from_slopes,
     in_Pprime,
     integer_slopes,
-    weighted_sum,
 )
 from .weights import (
     BlockDecomposition,
@@ -39,6 +38,7 @@ from .weights import (
     ht_table,
     set_J0,
     set_Mtilde,
+    split_sums,
     st_sequences,
     validate_irregular,
 )
@@ -51,16 +51,8 @@ class DichotomyError(ValueError):
     """Raised when companion carrier sets violate the per-block dichotomy."""
 
 
-@dataclass(frozen=True)
-class ShapeWitness:
-    """A carrier set realizing an ordered pair of characters, possibly swapped."""
-
-    J: EmbeddingSet
-    swapped: bool
-
-
 # ---------------------------------------------------------------------------
-# congruences and shape search
+# congruences and shape membership
 # ---------------------------------------------------------------------------
 
 
@@ -74,31 +66,20 @@ def check_congruence(p: int, sA: Sequence[int], sB: Sequence[int], modulus: int)
     return total % modulus == 0
 
 
-def shape_search(
-    ctx: Context, chi1: InertialChar, chi2: InertialChar, table: HTWeightTable
-) -> list[ShapeWitness]:
-    """All carrier sets whose split sequences realize the ordered pair (chi1, chi2)."""
-    out = []
-    for J in embedding_subsets(table.f):
-        s, t = st_sequences(table, J)
-        cs, ct = char_of_exponents(ctx, s), char_of_exponents(ctx, t)
-        if cs == chi1 and ct == chi2:
-            out.append(ShapeWitness(J, swapped=False))
-        elif cs == chi2 and ct == chi1:
-            out.append(ShapeWitness(J, swapped=True))
-    return out
-
-
 def semisimple_decide(ctx: Context, shape: SemisimpleShape, table: HTWeightTable) -> bool:
-    """Whether some carrier set realizes the unordered pair of characters."""
-    return bool(shape_search(ctx, shape.first, shape.second, table))
+    """Whether the shape's characters live on ctx's group and some carrier set realizes them."""
+    if table.f != ctx.f:
+        raise ValueError(f"table has {table.f} rows, context has f = {ctx.f}")
+    same_group = (shape.first.p, shape.first.f) == (ctx.p, ctx.f)
+    return same_group and shape.as_set() in achievable_pairs(ctx, table)
 
 
 def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[int]]:
-    """All unordered character-exponent pairs realized by carrier sets of a table."""
-    p, m = ctx.p, ctx.m1
-    splits = (st_sequences(table, J) for J in embedding_subsets(table.f))
-    return frozenset(frozenset((weighted_sum(p, s) % m, weighted_sum(p, t) % m)) for s, t in splits)
+    """All unordered character-exponent pairs realized by carrier sets of a
+    table: the split with weighted_sum(s) = x has weighted_sum(t) = C - x."""
+    m = ctx.m1
+    xs, C = split_sums(table)
+    return frozenset(frozenset((x % m, (C - x) % m)) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +249,23 @@ class EquivalenceReport:
         return not self.counterexamples
 
 
-def _agreements(
-    points: Iterable, hits: Callable[[frozenset, Any], bool], A: frozenset, side_sets: Sequence[frozenset]
-) -> list[tuple[Any, bool, bool, bool]]:
-    """Each point, in order, at which the three verdicts of the equivalence
-    differ, with the verdicts: the irregular table hits it (A), the base and
-    fully marked sides both do, the base and every marked side all do.
-    side_sets lists the sides' achievable sets in companion_sides order."""
+def _disagreements(H: Callable[[frozenset], set], A: frozenset, side_sets: Sequence[frozenset]) -> list:
+    """Each point, ascending, at which the three verdicts of the equivalence
+    differ, with the verdicts: the irregular table hits it (a), the base and
+    fully marked sides both do (b), the base and every marked side all do (c).
+    H(S) is the set of points an achievable set S hits; side_sets lists the
+    sides' achievable sets in companion_sides order."""
     Ap, *Amu, Ath = side_sets
-    bad = []
-    for x in points:
-        a = hits(A, x)
-        b = hits(Ap, x) and hits(Ath, x)
-        c = hits(Ap, x) and all(hits(Am, x) for Am in Amu)
-        if not a == b == c:
-            bad.append((x, a, b, c))
-    return bad
+    a, hp = H(A), H(Ap)
+    b, c = hp & H(Ath), hp.intersection(*map(H, Amu))
+    return [(x, x in a, x in b, x in c) for x in sorted((a | b | c) - (a & b & c))]
 
 
 def _pair_report(m: int, A: frozenset, side_sets: Sequence[frozenset]) -> EquivalenceReport:
     """Verdict over all m^2 ordered pairs mod m, given the achievable pairs of
-    the irregular table and of each side.  A pair no table achieves is in no
-    shape and so agrees: only the union's pairs are evaluated, ascending."""
-    union = A.union(*side_sets)
-    points = sorted((x, y) for pair in union for x in pair for y in pair if {x, y} == pair)
-    bad = _agreements(points, lambda S, xy: frozenset(xy) in S, A, side_sets)
+    the irregular table and of each side, each of which hits its ordered pairs."""
+    ordered = lambda S: {(x, y) for pair in S for x in pair for y in pair if {x, y} == pair}
+    bad = _disagreements(ordered, A, side_sets)
     return EquivalenceReport(m * m, m * m - len(bad), tuple((*xy, a, b, c) for xy, a, b, c in bad))
 
 

@@ -13,8 +13,8 @@ rewritings from an irregular weight to its regular companion weights, the
 backward reconstruction, and the equivalence audit over niveau-2 character
 exponents.  Each applies a niveau-1 rule to the doubled data: the exponents
 split the table with rows doubled, the forward carriers are the companion
-carrier rule of the weight with k doubled, and the audit runs the agreement
-loop of the semisimple one.
+carrier rule of the weight with k doubled, and the audit reads its
+exponents off weights.split_sums and decides as the semisimple one does.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .chars import frobenius_stable
-from .matching import DichotomyError, _agreements, _side_carrier
-from .rankone import decompose_cyclic, embedding_subsets, weighted_sum
+from .matching import DichotomyError, _disagreements, _side_carrier
+from .rankone import decompose_cyclic, weighted_sum
 from .weights import (
     HTWeightTable,
     Weight,
@@ -34,6 +34,7 @@ from .weights import (
     ht_table,
     is_regular,
     set_J0,
+    split_sums,
     st_sequences,
     validate_irregular,
 )
@@ -283,26 +284,21 @@ class IrrEquivalenceReport:
 def _achievable(table: HTWeightTable) -> frozenset[int]:
     """Exponents of the balanced carriers.  The one holding K on the first
     copy holds the complement of K on the second, so it splits the doubled
-    table as s + t, where (s, t) splits the table along K."""
-    p, mod = table.p, table.p ** (2 * table.f) - 1
-    splits = (st_sequences(table, K) for K in embedding_subsets(table.f))
-    return frozenset(weighted_sum(p, s + t) % mod for s, t in splits)
+    table as s + t, of exponent x p^f + C - x for (x, C) of split_sums."""
+    pf = table.p**table.f
+    xs, C = split_sums(table)
+    return frozenset((x * pf + C - x) % (pf * pf - 1) for x in xs)
 
 
 def _exponent_report(
     p: int, f: int, k: tuple[int, ...], A_irr: frozenset[int], side_sets: Sequence[frozenset[int]]
 ) -> IrrEquivalenceReport:
     """Verdict over the p^{2f} - p^f exponents mod p^{2f}-1 that are not
-    Frobenius-stable, given the achievable exponents of the irregular table
-    and of each side.  A table hits e when it achieves e or p^f e, so an
-    exponent off the union of the sets and their conjugates agrees: only that
-    union is evaluated, ascending."""
+    Frobenius-stable, given the achievable exponents S of the irregular table
+    and of each side; a table hits the non-stable exponents of S | p^f S."""
     mod = p ** (2 * f) - 1
-    hits = lambda A, e: e in A or (e * p**f) % mod in A
-    union = A_irr.union(*side_sets)
-    closed = union | {(u * p**f) % mod for u in union}
-    points = sorted(e for e in closed if not frobenius_stable(p, f, e))
-    bad = _agreements(points, hits, A_irr, side_sets)
+    hits = lambda S: {e for u in S for e in (u, u * p**f % mod) if not frobenius_stable(p, f, e)}
+    bad = _disagreements(hits, A_irr, side_sets)
     return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(e for e, *_ in bad))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .rankone import EmbeddingSet
+from .rankone import EmbeddingSet, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,18 @@ def st_sequences(table: HTWeightTable, J: EmbeddingSet) -> tuple[tuple[int, ...]
             s.append(b2)
             t.append(b1)
     return tuple(s), tuple(t)
+
+
+def split_sums(table: HTWeightTable) -> tuple[list[int], int]:
+    """weighted_sum(s) of the split (s, t) along each K, in bit-mask order, and
+    C = weighted_sum(s) + weighted_sum(t) = weighted_sum(b_1 + b_2).  As
+    weighted_sum(s) = weighted_sum(b_2) + the sum over i in K of
+    (b_1,i - b_2,i) p^(f-1-i), the list doubles once per index."""
+    p, f = table.p, table.f
+    xs = [weighted_sum(p, [b2 for _, b2 in table.rows])]
+    for i, (b1, b2) in enumerate(table.rows):
+        xs += [x + (b1 - b2) * p ** (f - 1 - i) for x in xs]
+    return xs, weighted_sum(p, [b1 + b2 for b1, b2 in table.rows])
 
 
 # ---------------------------------------------------------------------------

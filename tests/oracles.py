@@ -233,6 +233,29 @@ def basis_transport_audit(ctx: Context, w: Weight, J, a: FieldElem, b: FieldElem
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ShapeWitness:
+    """A carrier set realizing an ordered pair of characters, possibly swapped."""
+
+    J: frozenset[int]
+    swapped: bool
+
+
+def shape_search(
+    ctx: Context, chi1: InertialChar, chi2: InertialChar, table: HTWeightTable
+) -> list[ShapeWitness]:
+    """All carrier sets whose split sequences realize the ordered pair (chi1, chi2)."""
+    out = []
+    for J in embedding_subsets(table.f):
+        s, t = st_sequences(table, J)
+        cs, ct = char_of_exponents(ctx, s), char_of_exponents(ctx, t)
+        if cs == chi1 and ct == chi2:
+            out.append(ShapeWitness(J, swapped=False))
+        elif cs == chi2 and ct == chi1:
+            out.append(ShapeWitness(J, swapped=True))
+    return out
+
+
 def check_congruence_by_powers(p: int, sA, sB, modulus: int) -> bool:
     """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus, one power per term."""
     return weighted_sum_by_powers(p, [a - b for a, b in zip(sA, sB)]) % modulus == 0

@@ -1,12 +1,19 @@
 """The integer kernels under the table audits, against the power-sum and
-two-pass forms they replaced (kept in oracles.py), and the inverse-recurrence
-slope check against integer_slopes."""
+two-pass forms they replaced (kept in oracles.py), the split sums against
+the splits of every carrier set, and the inverse-recurrence slope check
+against integer_slopes."""
 
 from hypothesis import given, settings, strategies as st
 
 from kisinweights.matching import check_congruence
-from kisinweights.rankone import embedding_set, exponents_from_slopes, integer_slopes, weighted_sum
-from kisinweights.weights import HTWeightTable, st_sequences
+from kisinweights.rankone import (
+    embedding_set,
+    embedding_subsets,
+    exponents_from_slopes,
+    integer_slopes,
+    weighted_sum,
+)
+from kisinweights.weights import HTWeightTable, split_sums, st_sequences
 from oracles import check_congruence_by_powers, st_sequences_two_pass, weighted_sum_by_powers
 
 primes = st.sampled_from([3, 5, 7, 11])
@@ -60,6 +67,16 @@ def split_cases(draw):
 def test_one_pass_split_matches_two_passes(case):
     table, J = case
     assert st_sequences(table, embedding_set(table.f, J)) == st_sequences_two_pass(table, J)
+
+
+@settings(max_examples=300)
+@given(split_cases())
+def test_split_sums_sum_every_split(case):
+    table, _ = case
+    xs, C = split_sums(table)
+    splits = [st_sequences_two_pass(table, K) for K in embedding_subsets(table.f)]
+    assert xs == [weighted_sum_by_powers(table.p, s) for s, _ in splits]
+    assert all(x + weighted_sum_by_powers(table.p, t) == C for x, (_, t) in zip(xs, splits))
 
 
 @st.composite

@@ -22,7 +22,6 @@ from kisinweights.matching import (
     forward_sets,
     semisimple_decide,
     semisimple_equivalence_audit,
-    shape_search,
     subspace_transport_audit,
 )
 from kisinweights.rankone import ExtensionType, exceptional_case
@@ -41,6 +40,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
+from oracles import shape_search
 
 
 def valid_weights(p, f):
@@ -110,6 +110,33 @@ def test_shape_search_and_decide():
     assert semisimple_decide(ctx, SemisimpleShape(chi2, chi1), table)
 
 
+def test_decide_is_membership_in_achievable_pairs():
+    # every unordered shape against every table (irregular and sides) of
+    # every valid weight: 20,124 cases
+    cases = 0
+    for p, f in ((3, 2), (5, 2), (3, 3)):
+        ctx = Context(p, f, 1)
+        chars = [InertialChar(p, f, 1, e) for e in range(ctx.m1)]
+        for w in valid_weights(p, f):
+            for table in [ht_table(w)] + [side.table for side in companion_sides(w)]:
+                for chi1, chi2 in itertools.combinations_with_replacement(chars, 2):
+                    want = bool(shape_search(ctx, chi1, chi2, table))
+                    assert semisimple_decide(ctx, SemisimpleShape(chi1, chi2), table) == want
+                    cases += 1
+    assert cases == 20124
+    # a shape from another group is refused even where its exponents are achieved
+    ctx, table = Context(3, 2, 1), ht_table(Weight(3, (3, 1)))
+    assert frozenset({0, 6}) in achievable_pairs(ctx, table)
+    shape = SemisimpleShape(InertialChar(3, 3, 1, 0), InertialChar(3, 3, 1, 6))
+    assert not shape_search(ctx, shape.first, shape.second, table)
+    assert not semisimple_decide(ctx, shape, table)
+    # a table of another length is refused, as the oracle refuses to read it
+    with pytest.raises(ValueError):
+        shape_search(ctx, shape.first, shape.second, ht_table(Weight(3, (3, 1, 3))))
+    with pytest.raises(ValueError, match="table has 3 rows, context has f = 2"):
+        semisimple_decide(ctx, shape, ht_table(Weight(3, (3, 1, 3))))
+
+
 def test_achievable_pairs_card():
     ctx = Context(3, 2, 1)
     pairs = achievable_pairs(ctx, ht_table(Weight(3, (3, 1))))
@@ -124,14 +151,6 @@ def test_semisimple_equivalence_audits():
         report = semisimple_equivalence_audit(ctx, Weight(p, k))
         assert report.ok, (p, f, k, report.counterexamples[:3])
         assert report.total == (p**f - 1) ** 2
-
-
-def test_alpha_table_audit_small():
-    for p, f in ((3, 2), (3, 3), (5, 2)):
-        ctx = Context(p, f, 1)
-        for w in valid_weights(p, f):
-            for J in subsets(f):
-                appendix_alpha_audit(ctx, w, J)
 
 
 @pytest.mark.parametrize("flip", range(3))

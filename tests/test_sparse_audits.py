@@ -6,19 +6,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from kisinweights.field import Context
-from kisinweights.matching import (
-    EquivalenceReport,
-    _pair_report,
-    achievable_pairs,
-    semisimple_equivalence_audit,
-)
-from kisinweights.quadratic import (
-    IrrEquivalenceReport,
-    _achievable,
-    _exponent_report,
-    irr_equivalence_audit,
-)
+from kisinweights.matching import EquivalenceReport, _pair_report, semisimple_equivalence_audit
+from kisinweights.quadratic import IrrEquivalenceReport, _exponent_report, irr_equivalence_audit
 from kisinweights.weights import Weight, companion_sides, ht_table, validate_irregular
 
 SIZES = ((3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2))
@@ -81,13 +72,15 @@ def test_sparse_audits_match_dense_scans(p, f):
     ctx = Context(p, f)
     weights = list(valid_weights(p, f))
     assert weights
+    # the dense scans read achievable sets built one carrier at a time by the
+    # oracles, not by the split sums the audits use
     for w in weights:
         sides = companion_sides(w)
-        A = achievable_pairs(ctx, ht_table(w))
-        pair_sets = [achievable_pairs(ctx, side.table) for side in sides]
+        A = oracles.achievable_pairs_by_chars(ctx, ht_table(w))
+        pair_sets = [oracles.achievable_pairs_by_chars(ctx, side.table) for side in sides]
         assert semisimple_equivalence_audit(ctx, w) == dense_pair_report(ctx.m1, A, pair_sets)
-        A_irr = _achievable(ht_table(w))
-        exp_sets = [_achievable(side.table) for side in sides]
+        A_irr = oracles.achievable_by_balanced_sets(ht_table(w))
+        exp_sets = [oracles.achievable_by_balanced_sets(side.table) for side in sides]
         assert irr_equivalence_audit(w) == dense_exponent_report(p, f, w.k, A_irr, exp_sets)
 
 
