@@ -68,6 +68,7 @@ from .weights import (
     set_Mtilde,
     set_Mtilde2,
     validate_irregular,
+    weight_classes,
     weight_kmu,
     weight_kprime,
     weight_ktheta,
@@ -362,34 +363,38 @@ def suite_alpha_id(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     return {"outcome": "pass", "identities_checked": checked}
 
 
+# tau: the letter min(k_i, 3) of k_i in its type word (weights.weight_classes)
+_type_letter = functools.partial(min, 3)
+
+
 def suite_alpha_tables(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    """Audit each valid weight at its f+1 basis carriers, which proves all
-    2^f carrier sets (matching.basis_carriers), counted in ``configurations``.
-    A broken table still fails, maybe reported at another J than a scan of all 2^f."""
-    weights = 0
-    for w in _valid_weights(ctx.p, ctx.f):
+    """Audit each valid type word's representative (weights.weight_classes) at
+    its f+1 basis carriers, which proves all 2^f carrier sets of every weight
+    of the word (matching.basis_carriers), counted in ``configurations``.  A
+    broken table still fails, maybe at another weight or J than a scan would."""
+    configurations = 0
+    for w, n in weight_classes(ctx.p, ctx.f, _type_letter):
         for J in basis_carriers(ctx.f):
             appendix_alpha_audit(ctx, w, J)
-        weights += 1
-    return {"outcome": "pass", "configurations": weights * 2**ctx.f}
+        configurations += n * 2**ctx.f
+    return {"outcome": "pass", "configurations": configurations}
 
 
 def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    checked = 0
-    unconstrained = 0
-    for w in _valid_weights(ctx.p, ctx.f):
+    """exceptional_audit of the representative of each valid class word, with
+    letters k_i for k_i <= 3 or k_i >= p-1 and 4 for the rest.  Every gap
+    k_i, k_i - 1 or k_i - 2 of a 4 lies outside {0, 1, p-1, p}, all that
+    in_Pprime and the need and avoid sets read, so a word's weights share the
+    report, counted by multiplicity.  A failure names a representative: a
+    valid weight, maybe not the first failing one of a per-weight scan."""
+    checked = unconstrained = 0
+    for w, n in weight_classes(ctx.p, ctx.f, lambda x: x if x <= 3 or x >= ctx.p - 1 else 4):
         report = exceptional_audit(ctx, w)
-        checked += 1
-        unconstrained += len(report.unconstrained_hits)
+        checked += n
+        unconstrained += n * len(report.unconstrained_hits)
         if not report.ok:
-            return {
-                "outcome": "fail",
-                "counterexample": {
-                    "k": w.k,
-                    "irregular_hits": report.irregular_hits,
-                    "constrained_hits": report.constrained_hits,
-                },
-            }
+            hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
+            return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
     return {"outcome": "pass", "weights": checked, "unconstrained_hits": unconstrained}
 
 
@@ -584,32 +589,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    """Stream every unit in _valid_weights order.  Carriers and congruences
+    depend only on the type word (weights.weight_classes): each word is
+    proven once, at its first weight's basis carriers, and a word of several
+    weights keeps its line prefix per J (at most #repeating words * 2^f)."""
     ctx = Context(args.p, args.f, args.d)
     shard_i, shard_n = args.shard
 
     def lines() -> Iterator[str]:
         subsets = embedding_subsets(ctx.f)
+        repeats = {w.k: n > 1 for w, n in weight_classes(ctx.p, ctx.f, _type_letter)}
+        prefixes: dict[tuple[int, ...], dict[int, str]] = {}  # by word, then by mask of J
         for n, w in enumerate(_valid_weights(ctx.p, ctx.f)):
             first = n * len(subsets)
             units = range(first + (shard_i - first) % shard_n, first + len(subsets), shard_n)
             if not units:
                 continue
-            for J in basis_carriers(ctx.f):
-                forward_sets(ctx, w, J)  # proves the congruences of every J of w
+            word = tuple(map(_type_letter, w.k))
+            if word not in prefixes:
+                for J in basis_carriers(ctx.f):
+                    forward_sets(ctx, w, J)  # proves the congruences of every J of the word
+                prefixes[word] = {}
+            cache = prefixes[word] if repeats[word] else {}
             mus = sorted(set_Mtilde(w))  # the marked sides, in companion_sides order
+            tail = f'"k": {json.dumps(list(w.k))}, "unit": '
             for unit in units:
-                J = subsets[unit - first]
-                Jprime, *Jmus, Jtheta = companion_carriers(w, J)
-                # the jsonable form, built directly: every int here is small
-                record = {
-                    "unit": unit,
-                    "k": list(w.k),
-                    "J": sorted(J),
-                    "Jprime": sorted(Jprime),
-                    "Jtheta": sorted(Jtheta),
-                    "Jmu": {str(mu): sorted(Jmu) for mu, Jmu in zip(mus, Jmus)},
-                }
-                yield json.dumps(record, sort_keys=True) + "\n"
+                if (mask := unit - first) not in cache:
+                    Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])
+                    # the jsonable form less "k" and "unit", which sort last; every int here is small
+                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(mus, Jmus)}
+                    record = {"J": sorted(subsets[mask]), "Jprime": sorted(Jprime), "Jtheta": sorted(Jtheta), "Jmu": Jmu}
+                    cache[mask] = json.dumps(record, sort_keys=True)[:-1] + ", "
+                yield f"{cache[mask]}{tail}{unit}}}\n"
 
     _write_lines(lines(), args.out)
     return EXIT_OK

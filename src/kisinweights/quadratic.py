@@ -43,8 +43,7 @@ QuadSet = frozenset
 
 
 def quad_set(f: int, elems: Iterable[int]) -> QuadSet:
-    out = frozenset(q % (2 * f) for q in elems)
-    return out
+    return frozenset(q % (2 * f) for q in elems)
 
 
 def is_balanced(f: int, J: Iterable[int]) -> bool:
@@ -119,34 +118,19 @@ def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
     equal_rows = {i for i in range(f) if table.rows[i][0] == table.rows[i][1]}
     work = {q for q in Jset if q % f not in equal_rows}
 
-    x = []
-    for i in range(f):
-        gap = table.rows[i][0] - table.rows[i][1]
-        both = i in work and (i + f) in work
-        neither = i not in work and (i + f) not in work
-        if both:
-            x.append(gap)
-        elif neither:
-            x.append(-gap)
-        else:
-            x.append(0)
+    # the gap where both lifts of i are in work, minus it where neither is, else 0
+    x = [(b1 - b2) * ((i in work) + (i + f in work) - 1) for i, (b1, b2) in enumerate(table.rows)]
 
     if any(xi != 0 for xi in x):
         dec = decompose_cyclic(p, tuple(x))
         if dec.flag_sign is not None:
-            raise ValueError(
-                "character pair is Frobenius-stable; no balanced carrier preserves it"
-            )
+            raise ValueError("character pair is Frobenius-stable; no balanced carrier preserves it")
         for s in dec.strings:
-            if s.kind == "zero":
-                continue
-            for k in range(s.length):
-                q = (s.start + k) % (2 * f)
-                work.symmetric_difference_update({q})
+            if s.kind != "zero":
+                for n in range(s.length):
+                    work ^= {(s.start + n) % (2 * f)}
 
-    for i in sorted(equal_rows):
-        if i not in work and (i + f) not in work:
-            work.add(i)
+    work.update(i for i in equal_rows if i not in work and i + f not in work)
 
     out = frozenset(work)
     if not is_balanced(f, out):
@@ -295,11 +279,12 @@ def _exponent_report(
 ) -> IrrEquivalenceReport:
     """Verdict over the p^{2f} - p^f exponents mod p^{2f}-1 that are not
     Frobenius-stable, given the achievable exponents S of the irregular table
-    and of each side; a table hits the non-stable exponents of S | p^f S."""
+    and of each side; a table hits the exponents of S | p^f S.  Each verdict
+    reads one exponent, so the stable ones are dropped from the disagreements."""
     mod = p ** (2 * f) - 1
-    hits = lambda S: {e for u in S for e in (u, u * p**f % mod) if not frobenius_stable(p, f, e)}
-    bad = _disagreements(hits, A_irr, side_sets)
-    return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(e for e, *_ in bad))
+    hits = lambda S: {e for u in S for e in (u, u * p**f % mod)}
+    bad = (e for e, *_ in _disagreements(hits, A_irr, side_sets) if not frobenius_stable(p, f, e))
+    return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(bad))
 
 
 def irr_equivalence_audit(w: Weight) -> IrrEquivalenceReport:

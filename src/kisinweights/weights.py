@@ -16,9 +16,12 @@ blocks) keep their last 8 results: every caller walks one weight at a time.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .rankone import EmbeddingSet, weighted_sum
 
@@ -82,6 +85,25 @@ def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Op
         if a == 2 and b == 1:
             return f"forbidden (2,1) pattern at index {i}"
     return None
+
+
+def weight_classes(p: int, f: int, classify: Callable[[int], int]) -> Iterator[tuple[Weight, int]]:
+    """(representative, multiplicity) of each valid class word at (p, f), in
+    ascending order: the word of k is classify(k_i) per index, and its
+    representative takes each letter's least value.  classify must keep 1 and
+    2 as letters of their own, which is all irregular_refusal reads.
+
+    The lemma: J0, M, Mtilde, blocks and validity read only the type word
+    tau(k)_i = min(k_i, 3), and a companion_sides row minus the irregular row
+    (k_i - 1, 0) is (0, -1) on theta, (-1, 0) on Mtilde - theta, (p-1 or p, 0)
+    on J0 and (0, 0) elsewhere.  Off J0 every carrier is J, so the carriers,
+    ss - s, ts - t and the congruences depend only on (p, tau(k), J)."""
+    size = Counter(map(classify, range(1, p + 1)))
+    least = {classify(x): x for x in range(p, 0, -1)}
+    for word in itertools.product(sorted(least, key=least.get), repeat=f):
+        k = tuple(least[c] for c in word)
+        if irregular_refusal(p, k) is None:
+            yield Weight(p, k), math.prod(size[c] for c in word)
 
 
 @lru_cache(maxsize=8)

@@ -3,6 +3,7 @@
 per-carrier scan below is its reference.  enumerate's per-unit reference
 is in test_cli.py."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,7 +12,7 @@ from kisinweights import cli, matching
 from kisinweights.field import Context
 from kisinweights.matching import _expected_slopes, basis_carriers, forward_sets
 from kisinweights.rankone import embedding_subsets, exponents_from_slopes, weighted_sum
-from kisinweights.weights import Weight, set_J0, validate_irregular
+from kisinweights.weights import HTWeightTable, Weight, set_J0, validate_irregular
 
 SIZES = [(3, 2), (3, 3), (5, 2), (5, 3), (3, 4), (5, 4)]
 
@@ -124,4 +125,24 @@ def test_a_two_bit_mutation_passes_the_basis_but_not_the_scan(monkeypatch, p, f)
     ctx = Context(p, f)
     assert cli.suite_alpha_tables(ctx, None) == {"outcome": "pass", "configurations": len(valid_weights(p, f)) * 2**f}
     with pytest.raises(AssertionError, match="^slope table"):
+        dense_alpha_tables(ctx)
+
+
+def test_a_row_reading_k_beyond_its_type_passes_the_classes_but_not_the_scan(monkeypatch):
+    # alpha-tables audits one weight per type word (k_i capped at 3), which
+    # rests on companion_sides reading no k_i beyond its type.  A side row
+    # (k_i - 1 + [k_i = 4], 0) off J0 and Mtilde breaks that, and no
+    # representative holds a 4: only the per-weight scan sees it, first at 1,4,3
+    real = matching.companion_sides
+
+    def mutated(w):
+        def rows(side):
+            return tuple((b1 + (ki == 4 and (b1, b2) == (3, 0)), b2) for ki, (b1, b2) in zip(w.k, side.table.rows))
+
+        return tuple(dataclasses.replace(side, table=HTWeightTable(w.p, rows(side))) for side in real(w))
+
+    monkeypatch.setattr(matching, "companion_sides", mutated)
+    ctx = Context(5, 3)
+    assert cli.suite_alpha_tables(ctx, None) == {"outcome": "pass", "configurations": len(valid_weights(5, 3)) * 8}
+    with pytest.raises(AssertionError, match="congruence failed"):
         dense_alpha_tables(ctx)

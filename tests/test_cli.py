@@ -498,6 +498,42 @@ def test_enumerate_streams_lines(monkeypatch, capsys):
     assert seen == {"unit": list(range(8)), "proof": [0] * 3 + [4] * 3}
 
 
+def words_first_seen(p, f):
+    """The unit numbers of the first weight of each type word (k_i capped at 3)."""
+    first = {}
+    for n, w in enumerate(cli._valid_weights(p, f)):
+        first.setdefault(tuple(min(ki, 3) for ki in w.k), n)
+    return [n * 2**f + mask for n in first.values() for mask in range(2**f)]
+
+
+@pytest.mark.parametrize("p,f", [(5, 2), (5, 3)])
+def test_enumerate_works_once_per_type_word_and_streams(monkeypatch, capsys, p, f):
+    # the weights of a type word share their carriers and congruences, so
+    # companion_carriers runs only for the first weight of each word (at
+    # each of its units, once every earlier line is written), and the basis
+    # proof (forward_sets) once per word, between lines
+    written = 0
+    seen = {"unit": [], "proof": []}
+
+    def spy(kind, real):
+        def wrapped(*args):
+            nonlocal written
+            written += capsys.readouterr().out.count("\n")
+            seen[kind].append(written)
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "companion_carriers", spy("unit", cli.companion_carriers))
+    monkeypatch.setattr(cli, "forward_sets", spy("proof", cli.forward_sets))
+    run(capsys, "enumerate", "--p", str(p), "--f", str(f))
+    units = words_first_seen(p, f)
+    assert seen == {"unit": units, "proof": [u for u in units[:: 2**f] for _ in range(f + 1)]}
+    if (p, f) == (5, 2):
+        # six weights: (1, 3), (1, 4), (1, 5) of word (1, 3), then (3, 1), (4, 1), (5, 1)
+        assert seen == {"unit": [0, 1, 2, 3, 12, 13, 14, 15], "proof": [0] * 3 + [12] * 3}
+
+
 def internal_error(*args, **kwargs):
     raise ValueError("jmax is not unique")
 
