@@ -61,6 +61,7 @@ from .rankone import (
 from .weights import (
     Weight,
     blocks,
+    entries_in_range,
     ht_table,
     irregular_refusal,
     set_J0,
@@ -214,7 +215,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
     except ValueError as err:
         doc["valid"] = False
         doc["reason"] = str(err)
-        if args.allow_alt:
+        if args.allow_alt and entries_in_range(w.p, w.k):  # no companion for an out-of-range entry
             try:
                 doc["ktheta_alt"] = _weight_doc(weight_ktheta(w, alternative=True))
             except ValueError as alt_err:

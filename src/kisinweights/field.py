@@ -1,14 +1,14 @@
 """Exact arithmetic ground layer: finite fields F_{p^d} and the ring F[u].
 
-Everything here is deterministic and exact.  F_{p^d} is Z/p[x] modulo a
-canonical irreducible polynomial (the lexicographically smallest monic
-irreducible of the requested degree, with coefficient tuples compared from
-the constant term upward).  An element is the int n in [0, p^d) whose base-p
-digits, lowest first, are its coefficients.  ``make_field`` builds log,
-antilog and Zech tables once per field, after which every field operation
-is a table lookup.  Polynomials in ``u`` store their nonzero terms only and
-carry a Frobenius-semilinear substitution ``u -> u^p`` used throughout the
-higher layers.
+Everything here is deterministic and exact.  F_{p^d} is Z/p[x] modulo the
+lexicographically smallest monic irreducible of degree d (coefficient tuples
+compared from the constant term upward): the first monic polynomial with no
+monic factor of degree 1 to d // 2, by trial division.  An element is the
+int n in [0, p^d) whose base-p digits, lowest first, are its coefficients.
+``make_field`` walks the orbit of each unit in turn, keeps the first that
+reaches all p^d - 1 units, and builds log, antilog and Zech tables on it, so
+every field operation is a table lookup.  Polynomials in ``u`` store their
+nonzero terms only and carry a Frobenius-semilinear substitution u -> u^p.
 """
 
 from __future__ import annotations
@@ -74,85 +74,40 @@ def _zp_trim(c: list[int]) -> list[int]:
 
 
 def _zp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _zp_divmod(out, m, p)[1]
+    return _zp_mod(out, m, p)
 
 
-def _zp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    _zp_trim(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(da - db + 1, 0)
-    while da >= db:
-        c = (a[da] * inv_lead) % p
-        q[da - db] = c
+def _zp_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """The remainder of a on division by the monic b over Z/p, trimmed."""
+    a = _zp_trim(list(a))
+    db = len(b) - 1
+    while len(a) > db:
+        c, shift = a[-1], len(a) - 1 - db
         for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
+            a[shift + j] = (a[shift + j] - c * b[j]) % p
         _zp_trim(a)
-        da = len(a) - 1
-    return _zp_trim(q), a
-
-
-def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _zp_divmod(a, b, p)[1]
     return a
-
-
-def _zp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """a^e modulo m over Z/p."""
-    result = [1]
-    base = _zp_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, base, m, p)
-        base = _zp_mulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _zp_is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial of degree >= 1 over Z/p."""
-    d = len(m) - 1
-    if d == 1:
-        return True
-    # x^(p^d) == x mod m
-    xq = _zp_powmod([0, 1], p**d, m, p)
-    x = _zp_divmod([0, 1], m, p)[1]
-    if xq != x:
-        return False
-    for q in {q for q in range(2, d + 1) if d % q == 0 and is_prime(q)}:
-        xe = _zp_powmod([0, 1], p ** (d // q), m, p)
-        diff = [(a - b) % p for a, b in _pad_pair(xe, x)]
-        _zp_trim(diff)
-        if len(_zp_gcd(list(m), diff, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _pad_pair(a: list[int], b: list[int]) -> list[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return list(zip(a + [0] * (n - len(a)), b + [0] * (n - len(b))))
 
 
 def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree d over Z/p.
 
     Coefficient tuples (c_0, ..., c_{d-1}) are compared from the constant
-    term upward; the returned tuple includes the leading 1.
+    term upward; the returned tuple includes the leading 1.  It is the first
+    monic polynomial with no monic factor of degree 1 to d // 2, found by
+    trial division.
     """
     from itertools import product
 
+    factors = [list(lower) + [1] for e in range(1, d // 2 + 1) for lower in product(range(p), repeat=e)]
     for lower in product(range(p), repeat=d):
         m = list(lower) + [1]
-        if _zp_is_irreducible(m, p):
+        if all(_zp_mod(m, g, p) for g in factors):
             return tuple(m)
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
@@ -163,19 +118,18 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 def _generator_powers(p: int, d: int, modulus: tuple[int, ...]) -> list[int]:
-    """[g^0, g^1, ..., g^(p^d - 2)] as ints, for the smallest generator g of the unit group."""
+    """[g^0, g^1, ..., g^(p^d - 2)] as ints, for the smallest generator g of
+    the unit group: the first g whose orbit reaches all p^d - 1 units."""
     q, m = p**d, list(modulus)
-    # g generates iff g^((q-1)/r) != 1 for every prime r dividing q - 1
-    cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
     for g in range(1, q):
         g_digits = [g // p**i % p for i in range(d)]
-        if all(_zp_powmod(g_digits, e, m, p) != [1] for e in cofactors):
-            break
-    powers, x = [], [1]
-    for _ in range(q - 1):
-        powers.append(sum(c * p**i for i, c in enumerate(x)))
-        x = _zp_mulmod(x, g_digits, m, p)
-    return powers
+        powers, x = [1], _zp_mulmod([1], g_digits, m, p)
+        while x != [1]:
+            powers.append(sum(c * p**i for i, c in enumerate(x)))
+            x = _zp_mulmod(x, g_digits, m, p)
+        if len(powers) == q - 1:
+            return powers
+    raise RuntimeError("unreachable: the unit group of a finite field is cyclic")
 
 
 class FiniteField:

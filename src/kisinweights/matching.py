@@ -27,6 +27,7 @@ from .rankone import (
     exponents_from_slopes,
     in_Pprime,
     integer_slopes,
+    weighted_sum,
 )
 from .weights import (
     BlockDecomposition,
@@ -51,6 +52,13 @@ class DichotomyError(ValueError):
     """Raised when companion carrier sets violate the per-block dichotomy."""
 
 
+def _validate(ctx: Context, w: Weight) -> None:
+    """Refuse a context of another group than w's, then validate_irregular(w)."""
+    if (ctx.p, ctx.f) != (w.p, w.f):
+        raise ValueError(f"context has p = {ctx.p}, f = {ctx.f}; the weight has p = {w.p}, f = {w.f}")
+    validate_irregular(w)
+
+
 # ---------------------------------------------------------------------------
 # congruences and shape membership
 # ---------------------------------------------------------------------------
@@ -60,10 +68,7 @@ def check_congruence(p: int, sA: Sequence[int], sB: Sequence[int], modulus: int)
     """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus."""
     if len(sA) != len(sB):
         raise ValueError("sequences of different length")
-    total = 0
-    for a, b in zip(sA, sB):
-        total = total * p + (a - b)
-    return total % modulus == 0
+    return (weighted_sum(p, sA) - weighted_sum(p, sB)) % modulus == 0
 
 
 def semisimple_decide(ctx: Context, shape: SemisimpleShape, table: HTWeightTable) -> bool:
@@ -160,7 +165,7 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     the opposite membership on the blocks whose marked element is in its theta.
     Every side's split sequences must be congruent to those of (w, J).
     """
-    validate_irregular(w)
+    _validate(ctx, w)
     Jset = embedding_set(w.f, J)
     sides = companion_sides(w)
     carriers = companion_carriers(w, Jset)
@@ -216,7 +221,7 @@ def backward_from_theta(
     ctx: Context, w: Weight, Jprime: Iterable[int], Jtheta: Iterable[int]
 ) -> EmbeddingSet:
     """Reconstruct the irregular carrier set from the base and fully-marked sets."""
-    validate_irregular(w)
+    _validate(ctx, w)
     Jth = embedding_set(w.f, Jtheta)
     return _backward(ctx, w, Jprime, lambda nu: Jth)
 
@@ -225,7 +230,7 @@ def backward_from_mus(
     ctx: Context, w: Weight, Jprime: Iterable[int], Jmu: Mapping[int, Iterable[int]]
 ) -> EmbeddingSet:
     """Reconstruct the irregular carrier set from the base and all marked sets."""
-    validate_irregular(w)
+    _validate(ctx, w)
     if set(Jmu) != set(set_Mtilde(w)):
         raise ValueError("need one marked carrier set per marked index")
     return _backward(ctx, w, Jprime, lambda nu: embedding_set(w.f, Jmu[nu]))
@@ -272,7 +277,7 @@ def _pair_report(m: int, A: frozenset, side_sets: Sequence[frozenset]) -> Equiva
 def semisimple_equivalence_audit(ctx: Context, w: Weight) -> EquivalenceReport:
     """Check, over all (p^f-1)^2 ordered character pairs, that shape membership
     for the irregular weight agrees with membership for both companion systems."""
-    validate_irregular(w)
+    _validate(ctx, w)
     side_sets = [achievable_pairs(ctx, side.table) for side in companion_sides(w)]
     return _pair_report(ctx.m1, achievable_pairs(ctx, ht_table(w)), side_sets)
 
@@ -421,7 +426,7 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
     Under the per-block constraints no companion may be exceptional; dropping
     the constraints can produce hits, which are reported separately.
     """
-    validate_irregular(w)
+    _validate(ctx, w)
     irregular_hits = _exceptional_carriers(ctx.p, tuple(ki - 1 for ki in w.k))
     constrained_hits = []
     unconstrained_hits = []

@@ -189,21 +189,6 @@ def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
 # ---------------------------------------------------------------------------
 
 
-def _check_quad_dichotomy(w: Weight, Jprime: QuadSet) -> None:
-    """Each lift of a marked element must agree with the lifts of its block's
-    trailing k=1 run: all in or all out of the base carrier."""
-    f = w.f
-    for blk in blocks(w).blocks:
-        m = len(blk.tail)
-        for q in (blk.nu, blk.nu + f):
-            inside = q in Jprime
-            for n in range(1, m + 1):
-                if (((q + n) % (2 * f)) in Jprime) != inside:
-                    raise DichotomyError(
-                        f"lift {q} of marked index {blk.nu} disagrees with its trailing run"
-                    )
-
-
 def irr_backward(
     w: Weight,
     Jprime: Iterable[int],
@@ -224,7 +209,10 @@ def irr_backward(
         raise ValueError("base carrier must be balanced")
     if (mus is None) == (theta is None):
         raise ValueError("provide exactly one of mus or theta")
-    _check_quad_dichotomy(w, Jp)
+    # the dichotomy is the base side's tail rule on the doubled weight
+    w2 = Weight(w.p, w.k * 2)
+    if bad := Jp ^ _side_carrier(Jp, set_J0(w2), blocks(w2), frozenset()):
+        raise DichotomyError(f"lift {min(bad)} disagrees with the marked lift of its block")
 
     base, *marked, full = companion_sides(w)
     base_pair = induced_pair(base.table, Jp)
@@ -241,10 +229,9 @@ def irr_backward(
         if induced_pair(side.table, Jc) != base_pair:
             raise ValueError("companion carrier induces a different character pair")
 
-    out = Jp
-    if induced_pair(ht_table(w), out) != base_pair:
+    if induced_pair(ht_table(w), Jp) != base_pair:
         raise AssertionError("reconstructed carrier changed the character pair")
-    return out
+    return Jp
 
 
 # ---------------------------------------------------------------------------

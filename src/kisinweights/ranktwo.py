@@ -157,9 +157,7 @@ def build_extension(ext: ExtensionType, x: Sequence[UPoly]) -> PhiExtension:
         raise ValueError(f"parameter at {i} is not in normal form")
     if extra_used > 1:
         raise ValueError("at most one exceptional parameter slot is allowed")
-    quotient = RankOneKisin(ext.p, ext.quotient_exponents(), ext.a)
-    sub = RankOneKisin(ext.p, ext.sub_exponents(), ext.b)
-    return PhiExtension(quotient, sub, tuple(x))
+    return PhiExtension(ext.quotient(), ext.sub(), tuple(x))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ class HTWeightTable:
         return all(1 <= g <= self.p for g in self.gaps())
 
 
+def entries_in_range(p: int, k: tuple[int, ...]) -> bool:
+    """Whether every entry of k lies in [1, p], the range of an input weight."""
+    return all(1 <= ki <= p for ki in k)
+
+
 def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Optional[str]:
     """Why (k, l) is not a valid irregular input weight, or None when it is.
 
@@ -75,7 +80,7 @@ def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Op
     """
     if any(l):
         return "irregular input weights must have l = 0 (normalize the twist first)"
-    if k and not 1 <= min(k) <= max(k) <= p:
+    if not entries_in_range(p, k):
         return f"entries of k must lie in [1, {p}]"
     if k.count(1) == len(k):
         return "k = (1, ..., 1) is excluded"
@@ -123,6 +128,14 @@ def set_J0(w: Weight) -> EmbeddingSet:
     return frozenset(i for i, ki in enumerate(w.k) if ki == 1)
 
 
+def _past_twos(run: tuple[int, ...]) -> bool:
+    """Whether the first entry of run that is not a 2 is a 1; False when all are 2s."""
+    for x in run:
+        if x != 2:
+            return x == 1
+    return False
+
+
 def set_M(w: Weight) -> EmbeddingSet:
     """Indices from which a (possibly empty) chain of 2s leads to a 1.
 
@@ -132,12 +145,7 @@ def set_M(w: Weight) -> EmbeddingSet:
     k, f = w.k, w.f
     out = set()
     for i in range(f):
-        j = (i + 1) % f
-        steps = 0
-        while k[j] == 2 and steps < f:
-            j = (j + 1) % f
-            steps += 1
-        if k[j] == 1 and steps < f:
+        if _past_twos(k[i + 1 :] + k[: i + 1]):  # forward from i + 1
             out.add(i)
     return frozenset(out)
 
@@ -155,14 +163,8 @@ def set_Mtilde(w: Weight) -> EmbeddingSet:
     for i in range(f):
         if k[i] >= 3 and i in M:
             out.add(i)
-        elif k[i] == 2 and k[(i + 1) % f] == 1:
-            j = (i - 1) % f
-            steps = 0
-            while k[j] == 2 and steps < f:
-                j = (j - 1) % f
-                steps += 1
-            if k[j] == 1 and steps < f:
-                out.add(i)
+        elif k[i] == 2 and k[(i + 1) % f] == 1 and _past_twos((k[i:] + k[:i])[::-1]):  # back from i - 1
+            out.add(i)
     return frozenset(out)
 
 

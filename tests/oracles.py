@@ -17,6 +17,7 @@ from kisinweights.weights import (
     BlockDecomposition,
     HTWeightTable,
     Weight,
+    blocks,
     companion_sides,
     ht_table,
     set_J0,
@@ -333,9 +334,56 @@ def achievable_pairs_by_chars(ctx: Context, table: HTWeightTable) -> frozenset[f
     return frozenset(out)
 
 
+def quad_dichotomy_holds(w: Weight, Jprime) -> bool:
+    """Whether each lift of a marked element agrees with the lifts of its
+    block's trailing k=1 run: all in or all out of the base carrier."""
+    f = w.f
+    for blk in blocks(w).blocks:
+        for q in (blk.nu, blk.nu + f):
+            inside = q in Jprime
+            for n in range(1, len(blk.tail) + 1):
+                if (((q + n) % (2 * f)) in Jprime) != inside:
+                    return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # weights and JSON
 # ---------------------------------------------------------------------------
+
+
+def set_M_by_walk(w: Weight) -> frozenset[int]:
+    """set_M walking forward from each i + 1 through its run of 2s."""
+    k, f = w.k, w.f
+    out = set()
+    for i in range(f):
+        j = (i + 1) % f
+        steps = 0
+        while k[j] == 2 and steps < f:
+            j = (j + 1) % f
+            steps += 1
+        if k[j] == 1 and steps < f:
+            out.add(i)
+    return frozenset(out)
+
+
+def set_Mtilde_by_walk(w: Weight) -> frozenset[int]:
+    """set_Mtilde walking backward from i - 1 through its run of 2s."""
+    k, f = w.k, w.f
+    M = set_M_by_walk(w)
+    out = set()
+    for i in range(f):
+        if k[i] >= 3 and i in M:
+            out.add(i)
+        elif k[i] == 2 and k[(i + 1) % f] == 1:
+            j = (i - 1) % f
+            steps = 0
+            while k[j] == 2 and steps < f:
+                j = (j - 1) % f
+                steps += 1
+            if k[j] == 1 and steps < f:
+                out.add(i)
+    return frozenset(out)
 
 
 def st_sequences_two_pass(table: HTWeightTable, J) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -37,7 +37,6 @@ from kisinweights.rankone import (
 )
 from kisinweights.weights import (
     Weight,
-    blocks,
     bmu_table,
     bprime_table,
     btheta_table,

@@ -65,6 +65,16 @@ def test_shift_refusals(capsys):
     assert json.loads(out)["ktheta_alt"]["k"] == [8, 3, 8, 5]
 
 
+@pytest.mark.parametrize("alt", [[], ["--allow-alt"]], ids=["plain", "allow-alt"])
+@pytest.mark.parametrize("p,k", [("3", "9,-4"), ("5", "1,6"), ("3", "0,1")])
+def test_shift_refuses_out_of_range_entries(capsys, p, k, alt):
+    code, out = run(capsys, "shift", "--p", p, "--f", "2", "--k", k, *alt)
+    assert code == EXIT_USAGE
+    doc = json.loads(out)
+    assert doc["valid"] is False and doc["reason"] == f"entries of k must lie in [1, {p}]"
+    assert "ktheta_alt" not in doc
+
+
 @pytest.mark.parametrize(
     "argv,reason",
     [

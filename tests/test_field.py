@@ -76,6 +76,55 @@ def test_smallest_irreducible_is_irreducible_brute_force():
                 assert not divides(div, mod)
 
 
+# (p, d, modulus, generator as an int), as the Rabin test and the prime
+# cofactors of p^d - 1 chose them; trial division and the orbit walk must agree
+FIELD_GRID = [
+    (2, 1, (0, 1), 1),
+    (2, 2, (1, 1, 1), 2),
+    (2, 3, (1, 0, 1, 1), 2),
+    (2, 4, (1, 0, 0, 1, 1), 2),
+    (2, 5, (1, 0, 0, 1, 0, 1), 2),
+    (2, 6, (1, 0, 0, 0, 0, 1, 1), 2),
+    (2, 7, (1, 0, 0, 0, 0, 0, 1, 1), 2),
+    (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1), 6),
+    (2, 9, (1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7),
+    (2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), 2),
+    (3, 1, (0, 1), 2),
+    (3, 2, (1, 0, 1), 4),
+    (3, 3, (1, 0, 2, 1), 3),
+    (3, 4, (1, 0, 1, 1, 1), 10),
+    (3, 5, (1, 0, 0, 0, 2, 1), 3),
+    (3, 6, (1, 0, 0, 0, 1, 1, 1), 4),
+    (3, 7, (1, 0, 0, 0, 0, 1, 2, 1), 3),
+    (3, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1), 4),
+    (5, 1, (0, 1), 2),
+    (5, 2, (1, 1, 1), 7),
+    (5, 3, (1, 0, 1, 1), 7),
+    (5, 4, (1, 0, 1, 1, 1), 30),
+    (5, 5, (1, 0, 0, 0, 4, 1), 7),
+    (7, 1, (0, 1), 3),
+    (7, 2, (1, 0, 1), 9),
+    (7, 3, (1, 0, 1, 1), 9),
+    (7, 4, (1, 0, 0, 1, 1), 13),
+    (11, 1, (0, 1), 2),
+    (11, 2, (1, 0, 1), 15),
+    (11, 3, (1, 0, 4, 1), 12),
+    (13, 1, (0, 1), 2),
+    (13, 2, (1, 3, 1), 18),
+    (17, 1, (0, 1), 3),
+    (17, 2, (1, 1, 1), 20),
+]
+
+
+@pytest.mark.parametrize("p,d,modulus,generator", FIELD_GRID, ids=[f"GF{p}^{d}" for p, d, *_ in FIELD_GRID])
+def test_field_modulus_and_generator_pinned(p, d, modulus, generator):
+    F = make_field(p, d)
+    assert F.modulus == modulus
+    assert F._exp[1].n == generator
+    # the smallest generator: no smaller unit's powers reach every unit
+    assert all(len({F.elem(g) ** e for e in range(F.order - 1)}) < F.order - 1 for g in range(1, generator))
+
+
 def test_field_arithmetic_exhaustive_f9():
     F = make_field(3, 2)
     elems = list(F.elements())

@@ -29,7 +29,6 @@ from kisinweights.weights import (
     Weight,
     blocks,
     bprime_table,
-    btheta_table,
     companion_sides,
     ht_table,
     set_J0,
@@ -96,6 +95,29 @@ def test_backward_dichotomy_violation():
     w = Weight(3, (3, 1))
     with pytest.raises(DichotomyError):
         backward_from_theta(ctx, w, frozenset({0, 1}), frozenset({1}))
+
+
+@pytest.mark.parametrize("ctx", [Context(5, 3), Context(7, 4)], ids=["other-p", "other-f"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ctx, w: forward_sets(ctx, w, {0}),
+        lambda ctx, w: backward_from_theta(ctx, w, {0}, {0}),
+        lambda ctx, w: backward_from_mus(ctx, w, {0}, {1: {0}, 2: {0}}),
+        semisimple_equivalence_audit,
+        exceptional_audit,
+        lambda ctx, w: appendix_alpha_audit(ctx, w, {0}),
+        lambda ctx, w: subspace_transport_audit(ctx, w, {0}),
+    ],
+    ids=[
+        "forward_sets", "backward_from_theta", "backward_from_mus", "semisimple_equivalence_audit",
+        "exceptional_audit", "appendix_alpha_audit", "subspace_transport_audit",
+    ],
+)
+def test_entry_points_refuse_a_context_of_another_group(ctx, entry):
+    with pytest.raises(ValueError, match="context has") as err:
+        entry(ctx, Weight(7, (1, 3, 4)))
+    assert not isinstance(err.value, DichotomyError)
 
 
 def test_shape_search_and_decide():

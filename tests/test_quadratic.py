@@ -194,6 +194,20 @@ def test_irr_backward_dichotomy_violation():
         irr_backward(w, bad, theta=frozenset({0, 3}))
 
 
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (3, 5), (7, 3)])
+def test_irr_backward_dichotomy_matches_restated_rule(p, f):
+    for w in valid_weights(p, f):
+        for Jp in balanced_sets(f):
+            try:
+                irr_backward(w, Jp, theta=Jp)
+                refused = False
+            except DichotomyError:
+                refused = True
+            except ValueError:  # a later check; the dichotomy held
+                refused = False
+            assert refused == (not oracles.quad_dichotomy_holds(w, Jp)), (w.k, Jp)
+
+
 def test_irr_backward_congruence_check():
     w = Weight(3, (3, 1))
     fw = irr_forward(w, {0, 1})

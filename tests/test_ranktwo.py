@@ -1,7 +1,5 @@
 """Rank-two extensions: normal forms, exact morphism checks, transports."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -24,7 +24,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import normalize_twist
+from oracles import normalize_twist, set_M_by_walk, set_Mtilde_by_walk
 
 
 def valid_weights(p, f):
@@ -93,6 +93,15 @@ def test_marked_set_on_invalid_two_one_weight():
     w = Weight(7, (1, 2, 1, 4))
     assert set_Mtilde(w) == {1, 3}
     assert set_Mtilde2(w) == {0, 1, 3}
+
+
+def test_marked_sets_match_the_hand_walks():
+    # out-of-range entries and all-2 words included
+    for f in range(1, 6):
+        for k in itertools.product(range(-1, 6), repeat=f):
+            w = Weight(5, k)
+            assert set_M(w) == set_M_by_walk(w), k
+            assert set_Mtilde(w) == set_Mtilde_by_walk(w), k
 
 
 def test_companion_weights_worked_example():
