@@ -216,12 +216,9 @@ def cmd_shift(args: argparse.Namespace) -> int:
         doc["valid"] = False
         doc["reason"] = str(err)
         if args.allow_alt and entries_in_range(w.p, w.k):  # no companion for an out-of-range entry
-            try:
-                doc["ktheta_alt"] = _weight_doc(weight_ktheta(w, alternative=True))
-            except ValueError as alt_err:
-                doc["ktheta_alt_error"] = str(alt_err)
+            doc["ktheta_alt"] = _weight_doc(weight_ktheta(w, alternative=True))
         _write_out(dumps(doc), args.out)
-        return EXIT_OK if args.allow_alt and "ktheta_alt" in doc else EXIT_USAGE
+        return EXIT_OK if "ktheta_alt" in doc else EXIT_USAGE
     doc["valid"] = True
     doc["table"] = ht_table(w).rows
     doc["J0"] = set_J0(w)

@@ -119,17 +119,18 @@ def smallest_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 def _generator_powers(p: int, d: int, modulus: tuple[int, ...]) -> list[int]:
     """[g^0, g^1, ..., g^(p^d - 2)] as ints, for the smallest generator g of
-    the unit group: the first g whose orbit reaches all p^d - 1 units."""
+    the unit group: the first g whose orbit returns to 1 after exactly p^d - 1
+    steps.  Each walk stops there, so a reducible modulus raises."""
     q, m = p**d, list(modulus)
     for g in range(1, q):
         g_digits = [g // p**i % p for i in range(d)]
         powers, x = [1], _zp_mulmod([1], g_digits, m, p)
-        while x != [1]:
+        while x != [1] and len(powers) < q - 1:
             powers.append(sum(c * p**i for i, c in enumerate(x)))
             x = _zp_mulmod(x, g_digits, m, p)
-        if len(powers) == q - 1:
+        if x == [1] and len(powers) == q - 1:
             return powers
-    raise RuntimeError("unreachable: the unit group of a finite field is cyclic")
+    raise RuntimeError(f"modulus {modulus} is not irreducible over Z/{p}")
 
 
 class FiniteField:

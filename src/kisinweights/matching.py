@@ -191,24 +191,21 @@ def _backward(
     block's dichotomy against the auxiliary carrier ``aux_of(nu)``.
 
     Either nu and its tail lie in the base set with the tail off the auxiliary
-    set, or the reverse.  The result keeps each block's marked element as in
-    the base set and drops the 1-tail; it is checked against the weighted
-    congruences.
+    set, or the reverse: on the tail, the two agree with _side_carrier of the
+    base set for theta = {} and {nu}.  The result keeps each block's marked
+    element as in the base set and drops the 1-tail; it is checked against
+    the weighted congruences.
     """
-    f = w.f
-    Jp = embedding_set(f, Jprime)
-    for blk in blocks(w).blocks:
-        Jaux = aux_of(blk.nu)
-        part = (blk.nu, *blk.tail)
-        if blk.nu in Jp:
-            ok = all(i in Jp for i in part) and all(i not in Jaux for i in blk.tail)
-        else:
-            ok = all(i not in Jp for i in part) and all(i in Jaux for i in blk.tail)
-        if not ok:
+    Jp = embedding_set(w.f, Jprime)
+    J0, bd = set_J0(w), blocks(w)
+    base_bad = Jp ^ _side_carrier(Jp, J0, bd, frozenset())
+    for blk in bd.blocks:
+        aux_bad = aux_of(blk.nu) ^ _side_carrier(Jp, J0, bd, frozenset({blk.nu}))
+        if (base_bad | aux_bad).intersection(blk.tail):
             raise DichotomyError(
                 f"carrier sets violate the block dichotomy on block {blk.indices}"
             )
-    J = Jp - set_J0(w)
+    J = Jp - J0
     m = ctx.m1
     s, t = st_sequences(ht_table(w), J)
     sp, tp = st_sequences(companion_sides(w)[0].table, Jp)

@@ -158,34 +158,15 @@ def hom_exists(N1: RankOneKisin, N2: RankOneKisin) -> bool:
 def in_Pprime(p: int, r: tuple[int, ...]) -> bool:
     """Membership in the admissible exponent patterns.
 
-    Entries lie in {0, 1, p-1, p}; a p is followed by 0 or 1; a 1 or p-1 is
-    followed by p-1 or p; and every (cyclic) run of zeros is immediately
-    preceded by p and followed by 1 -- unless the tuple is identically zero.
+    For odd p, r is admissible exactly when r = |exponents_from_slopes(p, a)|
+    for the slopes a_i = [r_i in {1, p-1}]: each r_i = |p a_{i-1} - a_i| lies in
+    {0, 1, p-1, p}, and a_{i-1} is 1 exactly when r_i is p-1 or p.
     Cached, as callers ask about one r for each carrier set in turn.
     """
-    f = len(r)
-    if any(ri not in (0, 1, p - 1, p) for ri in r):
-        return False
-    if all(ri == 0 for ri in r):
-        return True
-    for i, ri in enumerate(r):
-        nxt = r[(i + 1) % f]
-        if ri == p and nxt not in (0, 1):
-            return False
-        if ri in (1, p - 1) and nxt not in (p - 1, p):
-            return False
-        if ri == 0:
-            j = (i + 1) % f
-            while r[j] == 0:
-                j = (j + 1) % f
-            if r[j] != 1:
-                return False
-            j = (i - 1) % f
-            while r[j] == 0:
-                j = (j - 1) % f
-            if r[j] != p:
-                return False
-    return True
+    return all(
+        ri in (0, 1, p - 1, p) and (r[i - 1] in (1, p - 1)) == (ri in (p - 1, p))
+        for i, ri in enumerate(r)
+    )
 
 
 def weighted_sum(p: int, r: Sequence[int]) -> int:
@@ -243,67 +224,31 @@ class CyclicDecomposition:
 
 
 def decompose_cyclic(p: int, r: Sequence[int]) -> CyclicDecomposition:
-    """Decompose r in [-p, p]^f with weighted sum divisible by p^f - 1.
+    """Decompose r in [-p, p]^f, p odd, with weighted sum divisible by p^f - 1.
 
     The result is either a constant +/-(p-1) flag or a disjoint cyclic cover
-    by signed strings (-1, p-1, ..., p-1, p) and runs of zeros.
+    by signed strings (-1, p-1, ..., p-1, p) and runs of zeros, read off the
+    slopes a = integer_slopes(p, r) in {-1, 0, 1}^f (r_i = p a_{i-1} - a_i).
+    A string starts at each i with a_{i-1} = 0 and r_i = -a_i or
+    r_{i-1} = p a_{i-2} nonzero (at 0 if r = 0) and runs to the next start,
+    signed by a_i, or zeros if a_i = 0; signed strings come first.
     """
     f = len(r)
     r = tuple(r)
     if any(abs(ri) > p for ri in r):
         raise ValueError("entries must lie in [-p, p]")
-    if weighted_sum(p, r) % (p**f - 1) != 0:
+    a = integer_slopes(p, r)
+    if a is None:
         raise ValueError("weighted sum not divisible by p^f - 1")
+    if 0 not in a:
+        return CyclicDecomposition(p, f, a[0], ())
 
-    if all(ri == p - 1 for ri in r):
-        return CyclicDecomposition(p, f, +1, ())
-    if all(ri == -(p - 1) for ri in r):
-        return CyclicDecomposition(p, f, -1, ())
-    if all(ri == 0 for ri in r):
-        return CyclicDecomposition(p, f, None, (CyclicString("zero", +1, 0, f),))
-
-    covered = [False] * f
-    strings: list[CyclicString] = []
-    for i, ri in enumerate(r):
-        sign = {-1: +1, +1: -1}.get(ri)
-        if sign is None:
-            continue
-        # walk the (sign-adjusted) interior p-1 entries to the closing p
-        length = 1
-        j = (i + 1) % f
-        while length < f and r[j] == sign * (p - 1):
-            j = (j + 1) % f
-            length += 1
-        if length >= f or r[j] != sign * p:
-            raise ValueError(f"no closing entry for string starting at {i}")
-        length += 1
-        strings.append(CyclicString("signed", sign, i, length))
-        for k in range(length):
-            idx = (i + k) % f
-            if covered[idx]:
-                raise ValueError("overlapping strings")
-            covered[idx] = True
-
-    # remaining entries must be zero runs
-    for i in range(f):
-        if not covered[i] and r[i] != 0:
-            raise ValueError(f"entry {r[i]} at {i} not covered by any pattern")
-    zeros_marked = [False] * f
-    for i in range(f):
-        if covered[i] or zeros_marked[i]:
-            continue
-        # extend the zero run backwards to its cyclic start
-        start = i
-        while r[(start - 1) % f] == 0 and not covered[(start - 1) % f] and (start - 1) % f != i:
-            start = (start - 1) % f
-        length = 0
-        j = start
-        while not covered[j] and r[j] == 0 and length < f:
-            zeros_marked[j] = True
-            length += 1
-            j = (j + 1) % f
-        strings.append(CyclicString("zero", +1, start, length))
-
+    starts = [i for i in range(f) if a[i - 1] == 0 and (r[i] or r[i - 1])] or [0]
+    strings = [
+        CyclicString("signed" if a[i] else "zero", a[i] or +1, i, (nxt - i) % f or f)
+        for i, nxt in zip(starts, starts[1:] + starts[:1])
+    ]
+    strings.sort(key=lambda s: (s.kind == "zero", s.start if s.kind == "signed" else min(s.indices(f))))
     dec = CyclicDecomposition(p, f, None, tuple(strings))
     if dec.recompose() != r:
         raise AssertionError("decomposition failed to recompose")

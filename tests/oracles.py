@@ -5,13 +5,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.field import Context, FieldElem, UPoly
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
 from kisinweights.quadratic import balanced_sets, quad_set
-from kisinweights.rankone import RankOneKisin, _hom_twist, alpha, embedding_set, embedding_subsets
+from kisinweights.rankone import (
+    CyclicDecomposition,
+    CyclicString,
+    RankOneKisin,
+    _hom_twist,
+    alpha,
+    embedding_set,
+    embedding_subsets,
+    weighted_sum,
+)
 from kisinweights.ranktwo import PhiExtension, PhiMorphism, _scalar_at, transport_forward
 from kisinweights.weights import (
     BlockDecomposition,
@@ -99,6 +108,107 @@ def twist_rank_one(N: RankOneKisin, shift: Sequence[int], c: FieldElem) -> RankO
     if len(shift) != N.f:
         raise ValueError("shift length mismatch")
     return RankOneKisin(N.p, tuple(ri + si for ri, si in zip(N.r, shift)), N.a * c)
+
+
+def in_Pprime_by_walk(p: int, r: tuple[int, ...]) -> bool:
+    """in_Pprime as a walk over the entries and their zero runs.
+
+    Entries lie in {0, 1, p-1, p}; a p is followed by 0 or 1; a 1 or p-1 is
+    followed by p-1 or p; and every (cyclic) run of zeros is immediately
+    preceded by p and followed by 1 -- unless the tuple is identically zero.
+    """
+    f = len(r)
+    if any(ri not in (0, 1, p - 1, p) for ri in r):
+        return False
+    if all(ri == 0 for ri in r):
+        return True
+    for i, ri in enumerate(r):
+        nxt = r[(i + 1) % f]
+        if ri == p and nxt not in (0, 1):
+            return False
+        if ri in (1, p - 1) and nxt not in (p - 1, p):
+            return False
+        if ri == 0:
+            j = (i + 1) % f
+            while r[j] == 0:
+                j = (j + 1) % f
+            if r[j] != 1:
+                return False
+            j = (i - 1) % f
+            while r[j] == 0:
+                j = (j - 1) % f
+            if r[j] != p:
+                return False
+    return True
+
+
+def decompose_cyclic_by_walk(p: int, r: Sequence[int]) -> CyclicDecomposition:
+    """decompose_cyclic as a walk: each string from its opening entry to its
+    closing p, then the zero runs, each from its cyclic start.
+
+    The result is either a constant +/-(p-1) flag or a disjoint cyclic cover
+    by signed strings (-1, p-1, ..., p-1, p) and runs of zeros.
+    """
+    f = len(r)
+    r = tuple(r)
+    if any(abs(ri) > p for ri in r):
+        raise ValueError("entries must lie in [-p, p]")
+    if weighted_sum(p, r) % (p**f - 1) != 0:
+        raise ValueError("weighted sum not divisible by p^f - 1")
+
+    if all(ri == p - 1 for ri in r):
+        return CyclicDecomposition(p, f, +1, ())
+    if all(ri == -(p - 1) for ri in r):
+        return CyclicDecomposition(p, f, -1, ())
+    if all(ri == 0 for ri in r):
+        return CyclicDecomposition(p, f, None, (CyclicString("zero", +1, 0, f),))
+
+    covered = [False] * f
+    strings: list[CyclicString] = []
+    for i, ri in enumerate(r):
+        sign = {-1: +1, +1: -1}.get(ri)
+        if sign is None:
+            continue
+        # walk the (sign-adjusted) interior p-1 entries to the closing p
+        length = 1
+        j = (i + 1) % f
+        while length < f and r[j] == sign * (p - 1):
+            j = (j + 1) % f
+            length += 1
+        if length >= f or r[j] != sign * p:
+            raise ValueError(f"no closing entry for string starting at {i}")
+        length += 1
+        strings.append(CyclicString("signed", sign, i, length))
+        for k in range(length):
+            idx = (i + k) % f
+            if covered[idx]:
+                raise ValueError("overlapping strings")
+            covered[idx] = True
+
+    # remaining entries must be zero runs
+    for i in range(f):
+        if not covered[i] and r[i] != 0:
+            raise ValueError(f"entry {r[i]} at {i} not covered by any pattern")
+    zeros_marked = [False] * f
+    for i in range(f):
+        if covered[i] or zeros_marked[i]:
+            continue
+        # extend the zero run backwards to its cyclic start
+        start = i
+        while r[(start - 1) % f] == 0 and not covered[(start - 1) % f] and (start - 1) % f != i:
+            start = (start - 1) % f
+        length = 0
+        j = start
+        while not covered[j] and r[j] == 0 and length < f:
+            zeros_marked[j] = True
+            length += 1
+            j = (j + 1) % f
+        strings.append(CyclicString("zero", +1, start, length))
+
+    dec = CyclicDecomposition(p, f, None, tuple(strings))
+    if dec.recompose() != r:
+        raise AssertionError("decomposition failed to recompose")
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +365,23 @@ def shape_search(
         elif cs == chi2 and ct == chi1:
             out.append(ShapeWitness(J, swapped=True))
     return out
+
+
+def backward_dichotomy_block(w: Weight, Jprime, aux_of: Callable[[int], frozenset]) -> Optional[tuple[int, ...]]:
+    """The indices of the first block whose dichotomy the base set and the
+    auxiliary carriers aux_of(nu) violate, else None: either nu and its tail
+    lie in the base set with the tail off the auxiliary set, or the reverse."""
+    Jp = embedding_set(w.f, Jprime)
+    for blk in blocks(w).blocks:
+        Jaux = aux_of(blk.nu)
+        part = (blk.nu, *blk.tail)
+        if blk.nu in Jp:
+            ok = all(i in Jp for i in part) and all(i not in Jaux for i in blk.tail)
+        else:
+            ok = all(i not in Jp for i in part) and all(i in Jaux for i in blk.tail)
+        if not ok:
+            return blk.indices
+    return None
 
 
 def check_congruence_by_powers(p: int, sA, sB, modulus: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kisinweights.field import (
+    _generator_powers,
     frobenius,
     Context,
     UPoly,
@@ -123,6 +124,13 @@ def test_field_modulus_and_generator_pinned(p, d, modulus, generator):
     assert F._exp[1].n == generator
     # the smallest generator: no smaller unit's powers reach every unit
     assert all(len({F.elem(g) ** e for e in range(F.order - 1)}) < F.order - 1 for g in range(1, generator))
+
+
+@pytest.mark.parametrize("p,d,modulus", [(3, 2, (2, 0, 1)), (3, 2, (0, 0, 1)), (2, 4, (1, 0, 1, 0, 1)), (5, 3, (0, 1, 0, 1))])
+def test_generator_walk_refuses_a_reducible_modulus(p, d, modulus):
+    # x^2 - 1, x^2, (x^2 + x + 1)^2 and x(x^2 + 1): every orbit stops at p^d - 1 steps
+    with pytest.raises(RuntimeError, match="not irreducible"):
+        _generator_powers(p, d, modulus)
 
 
 def test_field_arithmetic_exhaustive_f9():

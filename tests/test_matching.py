@@ -39,7 +39,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import shape_search
+from oracles import backward_dichotomy_block, shape_search
 
 
 def valid_weights(p, f):
@@ -95,6 +95,33 @@ def test_backward_dichotomy_violation():
     w = Weight(3, (3, 1))
     with pytest.raises(DichotomyError):
         backward_from_theta(ctx, w, frozenset({0, 1}), frozenset({1}))
+
+
+def backward_verdict(call):
+    """The carrier a backward reconstruction returns, or its DichotomyError text."""
+    try:
+        return call()
+    except DichotomyError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 3), (3, 4), (5, 4)])
+def test_backward_dichotomy_matches_the_block_rule(p, f):
+    """Both backward forms name the block the per-block rule rejects first, or
+    return Jprime off J0; the Jmu form at the three smallest sizes."""
+    ctx = Context(p, f)
+    for w in valid_weights(p, f):
+        J0, marked = set_J0(w), sorted(set_Mtilde(w))
+        cases = [(backward_from_theta, Jth, lambda nu, Jth=Jth: Jth) for Jth in subsets(f)]
+        if (p, f) in ((3, 2), (3, 3), (5, 3)):
+            for sets in itertools.product(list(subsets(f)), repeat=len(marked)):
+                Jmu = dict(zip(marked, sets))
+                cases.append((backward_from_mus, Jmu, Jmu.__getitem__))
+        for Jp in subsets(f):
+            for backward, aux, aux_of in cases:
+                bad = backward_dichotomy_block(w, Jp, aux_of)
+                want = Jp - J0 if bad is None else f"carrier sets violate the block dichotomy on block {bad}"
+                assert backward_verdict(lambda: backward(ctx, w, Jp, aux)) == want, (w.k, Jp, aux)
 
 
 @pytest.mark.parametrize("ctx", [Context(5, 3), Context(7, 4)], ids=["other-p", "other-f"])

@@ -15,6 +15,7 @@ from kisinweights.rankone import (
     carrier_weight,
     decompose_cyclic,
     exceptional_case,
+    exponents_from_slopes,
     hom_exists,
     in_Pprime,
     integer_slopes,
@@ -22,7 +23,15 @@ from kisinweights.rankone import (
     necessary_map_conditions,
     weighted_sum,
 )
-from oracles import alpha_diff, hom_exponents, inertial_char, tS_iso, twist_rank_one
+from oracles import (
+    alpha_diff,
+    decompose_cyclic_by_walk,
+    hom_exponents,
+    in_Pprime_by_walk,
+    inertial_char,
+    tS_iso,
+    twist_rank_one,
+)
 
 F3 = make_field(3, 1)
 ONE = F3.one
@@ -192,6 +201,41 @@ def test_decompose_wrapping_string():
     assert dec.recompose() == (3, 0, -1)
     signed = [s for s in dec.strings if s.kind == "signed"]
     assert len(signed) == 1 and signed[0].start == 2
+
+
+WALK_SIZES = [(3, f) for f in range(1, 6)] + [(5, f) for f in range(1, 5)] + [(7, f) for f in range(1, 4)]
+
+
+@pytest.mark.parametrize("p,f", WALK_SIZES)
+def test_in_Pprime_matches_the_walk(p, f):
+    for r in itertools.product([*range(-1, p + 2), 2 * p], repeat=f):
+        assert in_Pprime(p, r) == in_Pprime_by_walk(p, r), r
+
+
+def decomposition_or_refusal(decompose, p, r):
+    try:
+        dec = decompose(p, r)
+    except ValueError:
+        return "refused"
+    return dec.flag_sign, dec.strings
+
+
+@pytest.mark.parametrize("p,f", WALK_SIZES)
+def test_decompose_cyclic_matches_the_walk(p, f):
+    for r in itertools.product(range(-p - 1, p + 2), repeat=f):
+        want = decomposition_or_refusal(decompose_cyclic_by_walk, p, r)
+        assert decomposition_or_refusal(decompose_cyclic, p, r) == want, r
+
+
+@pytest.mark.parametrize("p,f", [(3, 6), (3, 7), (3, 8), (5, 8)])
+def test_decompose_cyclic_matches_the_walk_on_every_congruent_r(p, f):
+    # solved for, not scanned: the congruent r are the exponents of slopes in {-1, 0, 1}^f;
+    # from f = 7 on, two zero runs, one across the end of the cycle, test the order of the runs
+    for slopes in itertools.product((-1, 0, 1), repeat=f):
+        r = exponents_from_slopes(p, slopes)
+        if max(map(abs, r)) <= p:
+            want = decomposition_or_refusal(decompose_cyclic_by_walk, p, r)
+            assert decomposition_or_refusal(decompose_cyclic, p, r) == want, r
 
 
 def test_jmax_example_and_idempotence():
