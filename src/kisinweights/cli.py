@@ -35,6 +35,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .field import Context
@@ -87,29 +88,45 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 
 
-def jsonable(x: Any) -> Any:
-    """Convert a value into deterministic JSON-safe data.
-
-    Big integers become decimal strings, sets become sorted lists,
-    dataclasses become dicts.
-    """
-    if isinstance(x, bool) or x is None or isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x) if abs(x) >= JSON_INT_LIMIT else x
-    if isinstance(x, (frozenset, set)):
-        return [jsonable(v) for v in sorted(x)]
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
+def _encode(x: Any, nl: str) -> str:
+    """The text of ``json.dumps(jsonable(x), sort_keys=True, indent=2)`` at the
+    depth whose newline and indent is ``nl``.  Ints and containers of the exact
+    types the frontend builds are tested first, then the rest of the rule."""
+    t = type(x)
+    if t is int:
+        return str(x) if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else f'"{x}"'
+    if t is not list and t is not tuple and t is not dict:
+        if isinstance(x, str):
+            return _escape(x)
+        if x is None or isinstance(x, bool):
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, int):
+            return int.__repr__(x) if abs(x) < JSON_INT_LIMIT else _escape(str(x))
+        if isinstance(x, (frozenset, set)):
+            x = sorted(x)
+        elif not isinstance(x, (list, tuple, dict)):
+            if not dataclasses.is_dataclass(x) or isinstance(x, type):
+                raise TypeError(f"cannot serialize {type(x).__name__}")
+            x = {fld.name: getattr(x, fld.name) for fld in dataclasses.fields(x)}
+    inner = nl + "  "
     if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {fld.name: jsonable(getattr(x, fld.name)) for fld in dataclasses.fields(x)}
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+        # str keys first, as a later key that collides replaces the value; sorted by key only
+        named = {str(k): v for k, v in x.items()}
+        items = [f"{_escape(k)}: {_encode(named[k], inner)}" for k in sorted(named)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    items = [_encode(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
 
 
 def dumps(doc: Any) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(jsonable(doc), sort_keys=True, indent=2)`` and a newline, in one walk."""
+    return _encode(doc, "\n") + "\n"
+
+
+def jsonable(x: Any) -> Any:
+    """The document ``dumps`` writes, read back: deterministic JSON-safe data, with big
+    integers as decimal strings, sets as sorted lists and dataclasses as dicts."""
+    return json.loads(dumps(x))
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -152,11 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     attribute a caller rebinds on it (a tracer wrapping ``parse_args``, say)
     stays with that call.  Parsing leaves the tree as it was: ``parse_args``
     fills a fresh namespace and ``--jmu`` copies its default list."""
-    return copy.copy(_parser_tree())
+    return copy.copy(_parser_tree()[0])
 
 
 @functools.lru_cache(maxsize=None)
-def _parser_tree() -> argparse.ArgumentParser:
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and its subparsers by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="kisinweights",
         description="Exact weight-shift, matching and verification queries.",
@@ -194,7 +212,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="I/N", help="emit only shard I of N")
 
-    return parser
+    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +498,7 @@ def _fingerprint() -> str:
 
 
 def _record_key(suite: str, params: dict) -> str:
-    payload = json.dumps(
-        jsonable({"suite": suite, "params": params, "source": _source_digest()}),
-        sort_keys=True,
-    )
+    payload = dumps({"suite": suite, "params": params, "source": _source_digest()})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -564,6 +579,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         record = run_suite(args.suite, ctx, args.k)
         doc = jsonable(record)
+        if cache_path is not None:
+            _atomic_write(cache_path, dumps(doc))
         if cached_doc is not None and args.force:
             doc["cache"] = (
                 "recomputed-match"
@@ -572,12 +589,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         else:
             doc["cache"] = "miss" if cache_path else "off"
-        if cache_path is not None:
-            stored = dict(doc)
-            stored.pop("cache", None)
-            _atomic_write(cache_path, json.dumps(stored, sort_keys=True, indent=2) + "\n")
 
-    _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    _write_out(dumps(doc), args.out)
     return EXIT_CODES[doc["outcome"]]
 
 
@@ -630,8 +643,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Answer one request; safe to call many times in one process."""
-    args = build_parser().parse_args(argv)
+    """Answer one request; safe to call many times in one process.  A request that its
+    subcommand's parser takes whole skips the root parser, which reads all others."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = _parser_tree()[1].get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extra = subparser.parse_known_args(argv[1:])
+        args.subcommand = argv[0]
+    if subparser is None or extra:
+        args = build_parser().parse_args(argv)
     # looked up per call, so that a rebound cmd_* (a tracer's probe) is the one run
     handlers = {
         "shift": cmd_shift,

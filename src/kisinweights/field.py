@@ -53,11 +53,6 @@ class Context:
         """Order of the niveau-1 character group: p^f - 1."""
         return self.p**self.f - 1
 
-    @property
-    def m2(self) -> int:
-        """Order of the niveau-2 character group: p^(2f) - 1."""
-        return self.p ** (2 * self.f) - 1
-
     def coefficient_field(self) -> "FiniteField":
         return make_field(self.p, self.d)
 
@@ -363,16 +358,6 @@ class UPoly:
         if not n:
             return self
         return UPoly(self.field, {e + n: c for e, c in self.terms.items()})
-
-    def divides_exactly(self, n: int) -> bool:
-        """Whether u^n divides this polynomial."""
-        return self.valuation() >= n
-
-    def unshift(self, n: int) -> "UPoly":
-        """Exact division by u^n; raises if u^n does not divide."""
-        if self.valuation() < n:
-            raise ValueError(f"u^{n} does not divide {self!r}")
-        return UPoly(self.field, {e - n: c for e, c in self.terms.items()})
 
     def is_constant(self) -> bool:
         return self.degree() <= 0

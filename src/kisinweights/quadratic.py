@@ -76,11 +76,6 @@ def char_exponent(table: HTWeightTable, J: Iterable[int]) -> int:
     return _exponents(table, J)[0]
 
 
-def complement_exponent(table: HTWeightTable, J: Iterable[int]) -> int:
-    """Exponent of the opposite character (table entries swapped on J)."""
-    return _exponents(table, J)[1]
-
-
 def induced_pair(table: HTWeightTable, J: Iterable[int]) -> frozenset[int]:
     """Unordered pair of the two character exponents cut out by J."""
     return frozenset(_exponents(table, J))

@@ -163,6 +163,8 @@ def in_Pprime(p: int, r: tuple[int, ...]) -> bool:
     {0, 1, p-1, p}, and a_{i-1} is 1 exactly when r_i is p-1 or p.
     Cached, as callers ask about one r for each carrier set in turn.
     """
+    if p % 2 == 0:
+        raise ValueError(f"p must be odd, got {p}")
     return all(
         ri in (0, 1, p - 1, p) and (r[i - 1] in (1, p - 1)) == (ri in (p - 1, p))
         for i, ri in enumerate(r)
@@ -235,6 +237,8 @@ def decompose_cyclic(p: int, r: Sequence[int]) -> CyclicDecomposition:
     """
     f = len(r)
     r = tuple(r)
+    if p % 2 == 0:
+        raise ValueError(f"p must be odd, got {p}")
     if any(abs(ri) > p for ri in r):
         raise ValueError("entries must lie in [-p, p]")
     a = integer_slopes(p, r)

@@ -62,10 +62,6 @@ class HTWeightTable:
     def gaps(self) -> tuple[int, ...]:
         return tuple(b1 - b2 for b1, b2 in self.rows)
 
-    def in_range(self) -> bool:
-        """Whether all gaps lie in [1, p] (liftable range)."""
-        return all(1 <= g <= self.p for g in self.gaps())
-
 
 def entries_in_range(p: int, k: tuple[int, ...]) -> bool:
     """Whether every entry of k lies in [1, p], the range of an input weight."""

@@ -3,14 +3,16 @@ itself no longer needs, kept as oracles for the code that replaced them."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
+from kisinweights.cli import JSON_INT_LIMIT
 from kisinweights.field import Context, FieldElem, UPoly
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
-from kisinweights.quadratic import balanced_sets, quad_set
+from kisinweights.quadratic import _exponents, balanced_sets, quad_set
 from kisinweights.rankone import (
     CyclicDecomposition,
     CyclicString,
@@ -32,6 +34,28 @@ from kisinweights.weights import (
     set_J0,
     st_sequences,
 )
+
+# ---------------------------------------------------------------------------
+# the context and the polynomial layer
+# ---------------------------------------------------------------------------
+
+
+def m2(ctx: Context) -> int:
+    """Order of the niveau-2 character group: p^(2f) - 1."""
+    return ctx.p ** (2 * ctx.f) - 1
+
+
+def divides_exactly(poly: UPoly, n: int) -> bool:
+    """Whether u^n divides the polynomial."""
+    return poly.valuation() >= n
+
+
+def unshift(poly: UPoly, n: int) -> UPoly:
+    """Exact division by u^n; raises if u^n does not divide."""
+    if poly.valuation() < n:
+        raise ValueError(f"u^{n} does not divide {poly!r}")
+    return UPoly(poly.field, {e - n: c for e, c in poly.terms.items()})
+
 
 # ---------------------------------------------------------------------------
 # characters
@@ -324,9 +348,9 @@ def basis_transport_audit(ctx: Context, w: Weight, J, a: FieldElem, b: FieldElem
             recovered = []
             for i in range(f):
                 xi = M_tgt.x[i]
-                if not xi.divides_exactly(twist_vec[i]):
+                if not divides_exactly(xi, twist_vec[i]):
                     raise AssertionError(f"side {name}: parameter at {i} misses the twist factor")
-                recovered.append(xi.unshift(twist_vec[i]))
+                recovered.append(unshift(xi, twist_vec[i]))
             for i in range(f):
                 if i not in side_support and not recovered[i].is_zero():
                     raise AssertionError(f"side {name}: unexpected parameter at {i}")
@@ -440,6 +464,11 @@ def char_exponent_by_powers(table: HTWeightTable, J) -> int:
     return total % (p ** (2 * f) - 1)
 
 
+def complement_exponent(table: HTWeightTable, J) -> int:
+    """Exponent of the opposite character (table entries swapped on J)."""
+    return _exponents(table, J)[1]
+
+
 def complement_exponent_by_powers(table: HTWeightTable, J) -> int:
     """Exponent of the opposite character: the character of the complement of J."""
     return char_exponent_by_powers(table, frozenset(range(2 * table.f)) - quad_set(table.f, J))
@@ -477,6 +506,11 @@ def quad_dichotomy_holds(w: Weight, Jprime) -> bool:
 # ---------------------------------------------------------------------------
 # weights and JSON
 # ---------------------------------------------------------------------------
+
+
+def in_range(table: HTWeightTable) -> bool:
+    """Whether all gaps of the table lie in [1, p] (liftable range)."""
+    return all(1 <= g <= table.p for g in table.gaps())
 
 
 def set_M_by_walk(w: Weight) -> frozenset[int]:
@@ -524,6 +558,28 @@ def st_sequences_two_pass(table: HTWeightTable, J) -> tuple[tuple[int, ...], tup
 def normalize_twist(w: Weight) -> tuple[Weight, tuple[int, ...]]:
     """Split off the twist: return ((k, 0), l)."""
     return Weight(w.p, w.k), w.l
+
+
+def jsonable(x: Any) -> Any:
+    """Convert a value into deterministic JSON-safe data: the recursive copy
+    that kisinweights.cli.dumps once handed to json.dumps.
+
+    Big integers become decimal strings, sets become sorted lists,
+    dataclasses become dicts.
+    """
+    if isinstance(x, bool) or x is None or isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x) if abs(x) >= JSON_INT_LIMIT else x
+    if isinstance(x, (frozenset, set)):
+        return [jsonable(v) for v in sorted(x)]
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {fld.name: jsonable(getattr(x, fld.name)) for fld in dataclasses.fields(x)}
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def decode_int(x: Any) -> int:

@@ -49,7 +49,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import basis_transport_audit, decode_int
+from oracles import basis_transport_audit, decode_int, in_range
 
 
 def valid_weights(p, f):
@@ -129,7 +129,7 @@ def test_criterion_05_closed_form_tables_and_gap_bounds():
                 ]
                 for closed, direct in tables:
                     assert closed == direct, w.k
-                    assert closed.in_range(), (w.k, closed.rows)
+                    assert in_range(closed), (w.k, closed.rows)
     # dropping the adjacency condition breaks the gap bound
     bad = ht_table(weight_kmu(Weight(7, (1, 2, 1, 4)), 1))
     assert max(bad.gaps()) > 7

@@ -1,16 +1,22 @@
 """Command-line frontend: documents, exit codes, cache, determinism."""
 
 import argparse
+import dataclasses
+import enum
 import functools
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from typing import Any
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from kisinweights import cli
 from kisinweights.cli import (
     EXIT_FAIL,
@@ -208,6 +214,47 @@ def test_usage_error_leaves_the_parser_as_fresh(capsys):
     assert run(capsys, *request) == fresh
 
 
+PARSE_CORPUS = [
+    ["shift", "--p", "5", "--f", "2", "--k", "1,3"],
+    ["match", "--p", "5", "--f", "2", "--k", "1,3", "--j", "0"],
+    ["verify", "--suite", "lemma71", "--p", "3", "--f", "2"],
+    ["enumerate", "--p", "3", "--f", "2"],
+    [],
+    ["-h"],
+    ["shift", "-h"],
+    ["nope"],
+    ["shift", "--p", "5", "--f", "2", "--k", "1,3", "--bogus"],
+    ["verify", "--su", "lemma71", "--p", "3", "--f", "2"],
+    ["shift", "--p", "five", "--f", "2", "--k", "1,3"],
+    ["verify", "--suite", "bogus", "--p", "3", "--f", "2"],
+    ["shift", "--p", "5", "--f", "2", "--k", "1,3", "stray"],
+    ["shift", "--p", "5", "--f", "3", "--k", "1,3"],
+    ["match", "--p", "3"],
+    ["--", "shift", "--p", "5", "--f", "2", "--k", "1,3"],
+    ["shift", "--p", "5", "--f", "2", "--", "--k", "1,3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_subparser_route_answers_as_the_root_parser(monkeypatch, capsys, argv):
+    """main hands a request led by a subcommand to that subparser alone; the
+    old route, build_parser().parse_args(argv), is the oracle: the same exit
+    code, stdout and stderr for every request, valid or not."""
+
+    def answer():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"wall_time_ms": \d+', "", out), err
+
+    direct = answer()
+    root = cli._parser_tree()[0]
+    monkeypatch.setattr(cli, "_parser_tree", lambda: (root, {}))  # no subparser to go to
+    assert answer() == direct
+
+
 def test_verify_pass_and_unknown(capsys):
     code, out = run(capsys, "verify", "--suite", "lemma71", "--p", "3", "--f", "2")
     assert code == EXIT_OK
@@ -350,6 +397,58 @@ def test_invalid_input_exit_usage(capsys):
 def test_dumps_deterministic():
     doc = {"z": 1, "a": frozenset({2, 1}), "m": 2**60}
     assert dumps(doc) == dumps({"a": {1, 2}, "m": 2**60, "z": 1})
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    first: Any
+    second: Any
+
+
+class Size(enum.IntEnum):  # an int subclass on each side of 2^53
+    SMALL = 2**53 - 1
+    BIG = 2**53
+
+
+BOUNDARY_INTS = st.integers(-3, 3).flatmap(lambda d: st.sampled_from([d, 2**53 + d, -(2**53) + d]))
+TEXT = st.text(st.sampled_from('a1"\\/\b\n\r\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001d11e'), max_size=5)
+LEAVES = st.one_of(
+    BOUNDARY_INTS,
+    st.booleans(),
+    st.sampled_from(Size),
+    st.none(),
+    TEXT,
+    st.sets(BOUNDARY_INTS, max_size=4),
+    st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4),
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "a", "", '"'])), children, max_size=5),
+        st.builds(Pair, children, children),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+@example({1: "int key", "1": "str key", 2**53: (), "x": frozenset()})
+@example({"1": [True, None], 1: Pair({(1, 2), (0, 5)}, -(2**53))})
+def test_dumps_is_json_dumps_of_the_jsonable_oracle(doc):
+    """dumps writes in one walk what json.dumps writes of the old recursive
+    jsonable copy, byte for byte, and jsonable reads that document back."""
+    assert dumps(doc) == json.dumps(oracles.jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert jsonable(doc) == json.loads(dumps(doc)) == oracles.jsonable(doc)
+
+
+@pytest.mark.parametrize("value", [1.5, object(), Pair, {1: [complex(1, 1)]}])
+def test_dumps_refuses_what_the_oracle_refuses(value):
+    for convert in (dumps, jsonable, oracles.jsonable):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            convert(value)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from kisinweights.quadratic import (
     _achievable,
     balanced_sets,
     char_exponent,
-    complement_exponent,
     conjugate_symmetric,
     induced_pair,
     irr_backward,
@@ -71,7 +70,7 @@ def test_char_exponent_weighting():
     table = ht_table(Weight(3, (3, 1)))
     # J = {0, 1}: s = (2, 0, 0, 0) weighted by 27, 9, 3, 1
     assert char_exponent(table, {0, 1}) == 54
-    assert complement_exponent(table, {0, 1}) == 6
+    assert oracles.complement_exponent(table, {0, 1}) == 6
 
 
 def test_balanced_carriers_are_conjugate_symmetric():
@@ -79,7 +78,7 @@ def test_balanced_carriers_are_conjugate_symmetric():
         for J in balanced_sets(2):
             assert conjugate_symmetric(table, J)
             e_s = char_exponent(table, J)
-            e_t = complement_exponent(table, J)
+            e_t = oracles.complement_exponent(table, J)
             assert e_s % 80 == (e_t * 9) % 80
 
 
@@ -165,7 +164,7 @@ def test_doubled_frame_matches_the_restated_rules():
                 assert achievable_pairs(ctx, table) == oracles.achievable_pairs_by_chars(ctx, table)
                 for J in subsets(2 * f) if f <= 3 else ():
                     assert char_exponent(table, J) == oracles.char_exponent_by_powers(table, J)
-                    assert complement_exponent(table, J) == oracles.complement_exponent_by_powers(table, J)
+                    assert oracles.complement_exponent(table, J) == oracles.complement_exponent_by_powers(table, J)
             J0, bd = set_J0(w), blocks(w)
             for J in balanced_sets(f):
                 fw = irr_forward(w, J)

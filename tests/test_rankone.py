@@ -195,6 +195,17 @@ def test_decompose_rejects_noncongruent():
         decompose_cyclic(3, (4, 0))
 
 
+def test_slope_rules_refuse_even_p():
+    # at p = 2 the slopes reach +-2 and 1 = p - 1 is both kinds of entry, so
+    # the odd-p rules would answer wrongly: (1, 2) is admissible, and (2,)
+    # would decompose to a flag with sign 2
+    with pytest.raises(ValueError, match="odd"):
+        in_Pprime(2, (1, 2))
+    with pytest.raises(ValueError, match="odd"):
+        decompose_cyclic(2, (2,))
+    assert in_Pprime(3, (1, 3)) and decompose_cyclic(3, (2, 2)).flag_sign == 1
+
+
 def test_decompose_wrapping_string():
     # a string crossing the cyclic boundary
     dec = decompose_cyclic(3, (3, 0, -1))

@@ -50,8 +50,8 @@ def dense_transport_audit(ctx, w, J, a, b):
             assert generically_invertible(g)
             recovered = []
             for i in range(f):
-                assert M_tgt.x[i].divides_exactly(twist[i])
-                recovered.append(M_tgt.x[i].unshift(twist[i]))
+                assert oracles.divides_exactly(M_tgt.x[i], twist[i])
+                recovered.append(oracles.unshift(M_tgt.x[i], twist[i]))
             assert all(recovered[i].is_zero() for i in range(f) if i not in support)
             assert all(recovered[i].is_constant() for i in support)
             got = tuple(recovered[i].coefficient(0) for i in support)

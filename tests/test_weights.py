@@ -24,7 +24,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import normalize_twist, set_M_by_walk, set_Mtilde_by_walk
+from oracles import in_range, normalize_twist, set_M_by_walk, set_Mtilde_by_walk
 
 
 def valid_weights(p, f):
@@ -152,7 +152,7 @@ def test_gap_bounds():
                 for table in [bprime_table(w), btheta_table(w)] + [
                     bmu_table(w, mu) for mu in set_Mtilde(w)
                 ]:
-                    assert table.in_range(), (w.k, table.rows)
+                    assert in_range(table), (w.k, table.rows)
 
 
 def test_gap_bound_fails_without_adjacency_condition():
