@@ -64,7 +64,6 @@ from .weights import (
     blocks,
     entries_in_range,
     ht_table,
-    irregular_refusal,
     set_J0,
     set_M,
     set_Mtilde,
@@ -311,11 +310,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _valid_weights(p: int, f: int) -> Iterator[Weight]:
-    ks = itertools.product(range(1, p + 1), repeat=f)
-    return (Weight(p, k) for k in ks if irregular_refusal(p, k) is None)
-
-
 def suite_lemma71(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     """Decompose every r in [-p, p]^f whose weighted sum is divisible by
     m = p^f - 1, in the ascending order of a scan of the whole cube.
@@ -368,19 +362,21 @@ def suite_pprime(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_alpha_id(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
+    """Check alpha_i + r_i = p * alpha_{i-1} at r = 0 and the unit vectors: both
+    sides are linear in r, so this proves it on [0, p]^f.  A failure names a
+    basis vector, maybe not the first failure of a scan."""
     p, f = ctx.p, ctx.f
-    checked = 0
-    for r in itertools.product(range(p + 1), repeat=f):
+    for r in [(0,) * f, *(tuple(int(i == b) for i in range(f)) for b in range(f))]:
         alpha = [alpha_seq(p, r, i) for i in range(f)]
         for i in range(f):
-            checked += 1
             if alpha[i] + r[i] != p * alpha[i - 1]:
                 return {"outcome": "fail", "counterexample": {"r": r, "i": i}}
-    return {"outcome": "pass", "identities_checked": checked}
+    return {"outcome": "pass", "identities_checked": (p + 1) ** f * f}
 
 
 # tau: the letter min(k_i, 3) of k_i in its type word (weights.weight_classes)
 _type_letter = functools.partial(min, 3)
+_value_letter = int  # each value its own letter: every valid weight
 
 
 def suite_alpha_tables(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
@@ -433,7 +429,7 @@ def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_irr_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    weights = [Weight(ctx.p, k)] if k is not None else list(_valid_weights(ctx.p, ctx.f))
+    weights = [Weight(ctx.p, k)] if k is not None else [w for w, _ in weight_classes(ctx.p, ctx.f, _value_letter)]
     total = 0
     for w in weights:
         report = irr_equivalence_audit(w)
@@ -549,7 +545,7 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> Verific
             if suite not in WEIGHT_SUITES:
                 raise ValueError("suite takes no --k")
             validate_irregular(Weight(ctx.p, k))
-        elif suite in SIZE_SUITES and next(_valid_weights(ctx.p, ctx.f), None) is None:
+        elif suite in SIZE_SUITES and next(weight_classes(ctx.p, ctx.f, _type_letter), None) is None:
             raise ValueError("no valid irregular weight at this size")
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
@@ -577,10 +573,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc = cached_doc
         doc["cache"] = "hit"
     else:
-        record = run_suite(args.suite, ctx, args.k)
-        doc = jsonable(record)
+        text = dumps(run_suite(args.suite, ctx, args.k))
+        doc = json.loads(text)  # jsonable(record)
         if cache_path is not None:
-            _atomic_write(cache_path, dumps(doc))
+            _atomic_write(cache_path, text)
         if cached_doc is not None and args.force:
             doc["cache"] = (
                 "recomputed-match"
@@ -600,18 +596,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    """Stream every unit in _valid_weights order.  Carriers and congruences
+    """Stream every unit, weights ascending.  Carriers and congruences
     depend only on the type word (weights.weight_classes): each word is
-    proven once, at its first weight's basis carriers, and a word of several
-    weights keeps its line prefix per J (at most #repeating words * 2^f)."""
+    proven once, at its first weight's basis carriers, and a word of (p-2)^#3s
+    > 1 weights keeps its line prefix per J (at most #repeating words * 2^f)."""
     ctx = Context(args.p, args.f, args.d)
     shard_i, shard_n = args.shard
 
     def lines() -> Iterator[str]:
         subsets = embedding_subsets(ctx.f)
-        repeats = {w.k: n > 1 for w, n in weight_classes(ctx.p, ctx.f, _type_letter)}
         prefixes: dict[tuple[int, ...], dict[int, str]] = {}  # by word, then by mask of J
-        for n, w in enumerate(_valid_weights(ctx.p, ctx.f)):
+        for n, (w, _) in enumerate(weight_classes(ctx.p, ctx.f, _value_letter)):
             first = n * len(subsets)
             units = range(first + (shard_i - first) % shard_n, first + len(subsets), shard_n)
             if not units:
@@ -621,14 +616,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 for J in basis_carriers(ctx.f):
                     forward_sets(ctx, w, J)  # proves the congruences of every J of the word
                 prefixes[word] = {}
-            cache = prefixes[word] if repeats[word] else {}
-            mus = sorted(set_Mtilde(w))  # the marked sides, in companion_sides order
+            cache = prefixes[word] if ctx.p > 3 and 3 in word else {}
             tail = f'"k": {json.dumps(list(w.k))}, "unit": '
             for unit in units:
                 if (mask := unit - first) not in cache:
-                    Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])
+                    Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])  # marked: mu ascending
                     # the jsonable form less "k" and "unit", which sort last; every int here is small
-                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(mus, Jmus)}
+                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(set_Mtilde(w)), Jmus)}
                     record = {"J": sorted(subsets[mask]), "Jprime": sorted(Jprime), "Jtheta": sorted(Jtheta), "Jmu": Jmu}
                     cache[mask] = json.dumps(record, sort_keys=True)[:-1] + ", "
                 yield f"{cache[mask]}{tail}{unit}}}\n"

@@ -273,9 +273,6 @@ class FieldElem:
     def __repr__(self) -> str:
         return f"FieldElem{self.coeffs}@{self.field!r}"
 
-    def as_int(self) -> int:
-        return self.n
-
 
 def frobenius(x: FieldElem) -> FieldElem:
     """The arithmetic Frobenius x -> x^p."""

@@ -16,7 +16,6 @@ blocks) keep their last 8 results: every caller walks one weight at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -92,19 +91,26 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int]) -> Iterator[t
     """(representative, multiplicity) of each valid class word at (p, f), in
     ascending order: the word of k is classify(k_i) per index, and its
     representative takes each letter's least value.  classify must keep 1 and
-    2 as letters of their own, which is all irregular_refusal reads.
+    2 as letters of their own, which is all irregular_refusal reads.  Words
+    grow depth first, no 1 after a 2, and irregular_refusal decides each.
 
     The lemma: J0, M, Mtilde, blocks and validity read only the type word
     tau(k)_i = min(k_i, 3), and a companion_sides row minus the irregular row
     (k_i - 1, 0) is (0, -1) on theta, (-1, 0) on Mtilde - theta, (p-1 or p, 0)
     on J0 and (0, 0) elsewhere.  Off J0 every carrier is J, so the carriers,
     ss - s, ts - t and the congruences depend only on (p, tau(k), J)."""
-    size = Counter(map(classify, range(1, p + 1)))
     least = {classify(x): x for x in range(p, 0, -1)}
-    for word in itertools.product(sorted(least, key=least.get), repeat=f):
-        k = tuple(least[c] for c in word)
-        if irregular_refusal(p, k) is None:
-            yield Weight(p, k), math.prod(size[c] for c in word)
+    size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
+
+    def walk(k: tuple[int, ...]) -> Iterator[tuple[Weight, int]]:
+        if len(k) < f:
+            for x in size:
+                if x != 1 or k[-1:] != (2,):
+                    yield from walk(k + (x,))
+        elif irregular_refusal(p, k) is None:
+            yield Weight(p, k), math.prod(map(size.__getitem__, k))
+
+    return walk(())
 
 
 @lru_cache(maxsize=8)

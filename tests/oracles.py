@@ -4,6 +4,7 @@ itself no longer needs, kept as oracles for the code that replaced them."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -31,6 +32,7 @@ from kisinweights.weights import (
     blocks,
     companion_sides,
     ht_table,
+    irregular_refusal,
     set_J0,
     st_sequences,
 )
@@ -506,6 +508,12 @@ def quad_dichotomy_holds(w: Weight, Jprime) -> bool:
 # ---------------------------------------------------------------------------
 # weights and JSON
 # ---------------------------------------------------------------------------
+
+
+def valid_weights(p: int, f: int) -> list[Weight]:
+    """Every valid irregular weight at (p, f), ascending: the filter of all p^f tuples."""
+    ks = itertools.product(range(1, p + 1), repeat=f)
+    return [Weight(p, k) for k in ks if irregular_refusal(p, k) is None]
 
 
 def in_range(table: HTWeightTable) -> bool:

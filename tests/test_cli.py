@@ -535,6 +535,19 @@ def test_verify_force_compares_the_fingerprint(tmp_path, capsys):
     assert json.loads(out)["cache"] == "recomputed-mismatch"
 
 
+def test_verify_miss_dumps_the_record_once(monkeypatch, tmp_path, capsys):
+    # one walk writes the cache file and one the stdout document; the cache key's payload is apart
+    docs = []
+    monkeypatch.setattr(cli, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+    _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    walks = [type(doc).__name__ for doc in docs if not (isinstance(doc, dict) and "source" in doc)]
+    assert walks == ["VerificationRecord", "dict"]
+    doc = json.loads(out)
+    assert doc.pop("cache") == "miss"
+    (slot,) = tmp_path.iterdir()
+    assert slot.read_text() == dumps(doc)
+
+
 def test_source_edit_turns_a_cache_hit_into_a_miss(tmp_path):
     package = tmp_path / "lib" / "kisinweights"
     shutil.copytree(os.path.dirname(cli.__file__), package, ignore=shutil.ignore_patterns("__pycache__"))
@@ -610,7 +623,7 @@ def test_enumerate_streams_lines(monkeypatch, capsys):
 def words_first_seen(p, f):
     """The unit numbers of the first weight of each type word (k_i capped at 3)."""
     first = {}
-    for n, w in enumerate(cli._valid_weights(p, f)):
+    for n, w in enumerate(oracles.valid_weights(p, f)):
         first.setdefault(tuple(min(ki, 3) for ki in w.k), n)
     return [n * 2**f + mask for n in first.values() for mask in range(2**f)]
 

@@ -243,13 +243,13 @@ def test_table_arithmetic_matches_dense_reference(p, d):
     mod = F.modulus
     vec = {n: _digits(n, p, d) for n in range(F.order)}
     for a in F.elements():
-        va = vec[a.as_int()]
+        va = vec[a.n]
         assert list(a.coeffs) == va
-        assert F.elem(a.as_int()) is a and F.elem(va) is a
+        assert F.elem(a.n) is a and F.elem(va) is a
         assert list((-a).coeffs) == [(-c) % p for c in va]
         assert list(frobenius(a).coeffs) == _ref_pow(va, p, mod, p)
         for b in F.elements():
-            vb = vec[b.as_int()]
+            vb = vec[b.n]
             assert list((a + b).coeffs) == [(x + y) % p for x, y in zip(va, vb)]
             assert list((a - b).coeffs) == [(x - y) % p for x, y in zip(va, vb)]
             assert list((a * b).coeffs) == _ref_mul(va, vb, mod, p)
@@ -271,7 +271,7 @@ def test_elem_int_and_vector_round_trip():
     F = make_field(5, 2)
     for n in range(F.order):
         x = F.elem(n)
-        assert x.as_int() == n
+        assert x.n == n
         assert F.elem(x.coeffs) is x
         assert F.elem(-n) == -x
     assert F.elem([7, -1]) == F.elem([2, 4])

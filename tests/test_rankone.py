@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kisinweights import cli
 from kisinweights.field import Context, make_field
 from kisinweights.rankone import (
     ExtensionType,
@@ -56,6 +57,54 @@ def test_alpha_identity_exhaustive():
                 N = RankOneKisin(p, r, one)
                 for i in range(f):
                     assert alpha(N, i) + r[i] == p * alpha(N, i - 1)
+
+
+def first_identity_failure(p, f, slopes):
+    """The first (r, i) of a scan of [0, p]^f with slopes(p, r, i) + r_i != p * slopes(p, r, i - 1)."""
+    for r in itertools.product(range(p + 1), repeat=f):
+        alpha_r = [slopes(p, r, i) for i in range(f)]
+        for i in range(f):
+            if alpha_r[i] + r[i] != p * alpha_r[i - 1]:
+                return r, i
+    return None
+
+
+def power_off_by_one(p, r, i):
+    """alpha_seq with p^(f-j+1) in place of p^(f-j): wrong, and still linear in r."""
+    f = len(r)
+    return Fraction(sum(p ** (f - j + 1) * r[(j + i) % f] for j in range(1, f + 1)), p**f - 1)
+
+
+def wrong_off_the_axes(p, r, i):
+    """alpha_seq plus 1 where r has two nonzero entries: wrong, and not affine in r."""
+    return alpha_seq(p, r, i) + (sum(map(bool, r)) >= 2)
+
+
+BASIS_SIZES = [(3, 2), (3, 3), (5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("p,f", BASIS_SIZES + [(3, 1), (7, 2)])
+def test_alpha_id_suite_matches_the_scan(p, f):
+    assert first_identity_failure(p, f, alpha_seq) is None
+    assert cli.suite_alpha_id(Context(p, f), None) == {"outcome": "pass", "identities_checked": (p + 1) ** f * f}
+
+
+@pytest.mark.parametrize("p,f", BASIS_SIZES)
+def test_a_linear_mutation_fails_the_basis_and_the_scan(monkeypatch, p, f):
+    monkeypatch.setattr(cli, "alpha_seq", power_off_by_one)
+    doc = cli.suite_alpha_id(Context(p, f), None)
+    assert doc["outcome"] == "fail"
+    assert doc["counterexample"]["r"] == (1,) + (0,) * (f - 1)
+    # the ascending scan of the cube meets another unit vector first
+    assert first_identity_failure(p, f, power_off_by_one)[0] == (0,) * (f - 1) + (1,)
+
+
+@pytest.mark.parametrize("p,f", BASIS_SIZES)
+def test_a_mutation_off_the_axes_passes_the_basis_but_not_the_scan(monkeypatch, p, f):
+    # the basis proves the cube only for an affine alpha_seq: the premise, not a check
+    monkeypatch.setattr(cli, "alpha_seq", wrong_off_the_axes)
+    assert cli.suite_alpha_id(Context(p, f), None)["outcome"] == "pass"
+    assert first_identity_failure(p, f, wrong_off_the_axes) is not None
 
 
 def test_alpha_diff_example():

@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from kisinweights import matching
-from kisinweights.cli import _valid_weights, suite_transport
+from kisinweights.cli import suite_transport
 from kisinweights.field import Context, UPoly
 from kisinweights.matching import TransportAuditReport, forward_sets, subspace_transport_audit
 from kisinweights.rankone import RankOneKisin, embedding_subsets, exponents_from_slopes
 from kisinweights.ranktwo import PhiExtension, transport_forward
 from kisinweights.weights import companion_sides, ht_table, set_J0, st_sequences
-from oracles import basis_transport_audit, generically_invertible
+from oracles import basis_transport_audit, generically_invertible, valid_weights
 
 SIZES = ((3, 2, 2), (5, 3, 1), (3, 3, 2))
 
@@ -65,7 +65,7 @@ def dense_transport_audit(ctx, w, J, a, b):
 def test_transport_audit_matches_dense_scan(p, f, d):
     ctx = Context(p, f, d)
     units = list(ctx.coefficient_field().units())
-    weights = list(_valid_weights(p, f))
+    weights = valid_weights(p, f)
     assert weights
     for w in weights:
         families = 0
@@ -97,7 +97,7 @@ def crafted_forward_sets(draw, ctx):
     side's twist.  So the line maps exist, and effectiveness, the
     obstruction and the twist test decide the outcome."""
     p, f = ctx.p, ctx.f
-    w = draw(st.sampled_from(list(_valid_weights(p, f))))
+    w = draw(st.sampled_from(valid_weights(p, f)))
     J = draw(st.sampled_from(embedding_subsets(f)))
     fs = forward_sets(ctx, w, J)
     s, t = fs.st

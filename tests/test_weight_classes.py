@@ -2,16 +2,21 @@
 weight of a type word (k_i capped at 3) has its representative's carriers,
 side differences and congruences, and every weight of an exceptional class
 word its representative's exceptional report.  alpha-tables' dense scan is
-in test_basis_carriers.py, enumerate's per-unit reference in test_cli.py."""
+in test_basis_carriers.py, enumerate's per-unit reference in test_cli.py.
+The filter of all p^f tuples (oracles.valid_weights) is the reference for
+the walk that generates the valid words."""
+
+from collections import Counter
 
 import pytest
 
 from kisinweights import cli
-from kisinweights.cli import _type_letter, _valid_weights
+from kisinweights.cli import _type_letter, _value_letter
 from kisinweights.field import Context
 from kisinweights.matching import companion_carriers, exceptional_audit, forward_sets
 from kisinweights.rankone import embedding_subsets
 from kisinweights.weights import Weight, irregular_refusal, weight_classes
+from oracles import valid_weights
 
 LEMMA_SIZES = [(5, 3), (5, 4), (7, 3), (7, 4)]
 
@@ -42,23 +47,33 @@ def test_classes_of_a_small_size():
     assert [n for w, n in weight_classes(7, 2, exceptional_letter(7))] == [1, 2, 1, 1, 1, 2, 1, 1]
 
 
-@pytest.mark.parametrize("p,f", LEMMA_SIZES + [(3, 4), (11, 3)])
+def classes_by_filter(p, f, classify):
+    """(representative, multiplicity) per class word, read off the filter of all p^f tuples."""
+    counts = Counter(representative(w, classify) for w in valid_weights(p, f))
+    return sorted(counts.items(), key=lambda item: item[0].k)
+
+
+def test_the_walk_is_lazy():
+    # 11^40 words: only a walk that yields as it goes reaches the first ones
+    walk = weight_classes(11, 40, _value_letter)
+    assert [w.k for w, _ in (next(walk), next(walk))] == [(1,) * 39 + (3,), (1,) * 39 + (4,)]
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (3, 3), (3, 5)] + LEMMA_SIZES + [(3, 4), (11, 3)])
 def test_multiplicities_count_the_valid_weights(p, f):
-    weights = list(_valid_weights(p, f))
+    # the walk against the filter of all p^f tuples, as lists: words, order and multiplicities
     for classify in (_type_letter, exceptional_letter(p)):
         classes = list(weight_classes(p, f, classify))
-        assert sum(n for _, n in classes) == len(weights)
-        # one class per representative of a valid weight, in ascending order
-        reps = sorted({representative(w, classify).k for w in weights})
-        assert [w.k for w, _ in classes] == reps
+        assert classes == classes_by_filter(p, f, classify), classify
         assert all(irregular_refusal(p, w.k) is None for w, _ in classes)
+    assert list(weight_classes(p, f, _value_letter)) == [(w, 1) for w in valid_weights(p, f)]
 
 
 @pytest.mark.parametrize("p,f", LEMMA_SIZES)
 def test_a_type_word_fixes_carriers_and_side_differences(p, f):
     ctx = Context(p, f)
     seen = {}
-    for w in _valid_weights(p, f):
+    for w in valid_weights(p, f):
         rep = representative(w, _type_letter)
         for J in embedding_subsets(f):
             if (rep, J) not in seen:
@@ -70,7 +85,7 @@ def test_a_type_word_fixes_carriers_and_side_differences(p, f):
 def test_an_exceptional_class_word_fixes_the_report(p, f):
     ctx = Context(p, f)
     reports = {}
-    for w in _valid_weights(p, f):
+    for w in valid_weights(p, f):
         rep = representative(w, exceptional_letter(p))
         if rep not in reports:
             reports[rep] = exceptional_audit(ctx, rep)
@@ -81,7 +96,7 @@ def test_an_exceptional_class_word_fixes_the_report(p, f):
 def test_exceptional_counts_every_weight_of_a_class(p, f):
     # at p >= 7 a class holds several weights; the per-weight scan is the reference
     ctx = Context(p, f)
-    reports = [exceptional_audit(ctx, w) for w in _valid_weights(p, f)]
+    reports = [exceptional_audit(ctx, w) for w in valid_weights(p, f)]
     assert all(report.ok for report in reports)
     hits = sum(len(report.unconstrained_hits) for report in reports)
     assert cli.suite_exceptional(ctx, None) == {"outcome": "pass", "weights": len(reports), "unconstrained_hits": hits}
