@@ -16,7 +16,7 @@ serialized as decimal strings so documents survive double-precision JSON
 parsers; the reader side undoes this.
 
 Exit codes: 0 success / suite passed; 1 verification failure or a dichotomy
-violation; 2 usage or validation error.
+violation; 2 usage, validation or --out/--cache I/O error.
 """
 
 from __future__ import annotations
@@ -622,7 +622,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 if (mask := unit - first) not in cache:
                     Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])  # marked: mu ascending
                     # the jsonable form less "k" and "unit", which sort last; every int here is small
-                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(set_Mtilde(w)), Jmus)}
+                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(blk.nu for blk in blocks(w).blocks), Jmus)}
                     record = {"J": sorted(subsets[mask]), "Jprime": sorted(Jprime), "Jtheta": sorted(Jtheta), "Jmu": Jmu}
                     cache[mask] = json.dumps(record, sort_keys=True)[:-1] + ", "
                 yield f"{cache[mask]}{tail}{unit}}}\n"
@@ -653,20 +653,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "verify": cmd_verify,
         "enumerate": cmd_enumerate,
     }
+    out = getattr(args, "out", None)
     try:
-        k = getattr(args, "k", None)
-        if k is not None and len(k) != args.f:
-            raise ValueError(f"expected {args.f} weight entries, got {len(k)}")
-        return handlers[args.subcommand](args)
-    except DichotomyError as err:
-        _write_out(dumps({"error": "dichotomy", "reason": str(err)}), getattr(args, "out", None))
-        return EXIT_FAIL
-    except ValueError as err:
-        _write_out(dumps({"error": "invalid", "reason": str(err)}), getattr(args, "out", None))
-        return EXIT_USAGE
-    except AssertionError as err:
-        _write_out(dumps({"error": "fail", "reason": str(err)}), getattr(args, "out", None))
-        return EXIT_FAIL
+        try:
+            k = getattr(args, "k", None)
+            if k is not None and len(k) != args.f:
+                raise ValueError(f"expected {args.f} weight entries, got {len(k)}")
+            return handlers[args.subcommand](args)
+        except DichotomyError as err:
+            _write_out(dumps({"error": "dichotomy", "reason": str(err)}), out)
+            return EXIT_FAIL
+        except ValueError as err:
+            _write_out(dumps({"error": "invalid", "reason": str(err)}), out)
+            return EXIT_USAGE
+        except AssertionError as err:
+            _write_out(dumps({"error": "fail", "reason": str(err)}), out)
+            return EXIT_FAIL
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit stays quiet
         with contextlib.suppress(OSError):  # io.UnsupportedOperation: no file descriptor
@@ -675,6 +677,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.dup2(devnull, fd)
             os.close(devnull)
         return EXIT_FAIL
+    except OSError as err:
+        # an --out or --cache path that cannot be written: to stdout, as --out may be that path
+        _write_out(dumps({"error": "invalid", "reason": str(err)}), None)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

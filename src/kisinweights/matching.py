@@ -38,7 +38,6 @@ from .weights import (
     companion_sides,
     ht_table,
     set_J0,
-    set_Mtilde,
     split_sums,
     st_sequences,
     validate_irregular,
@@ -187,28 +186,25 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
 def _backward(
     ctx: Context, w: Weight, Jprime: Iterable[int], aux_of: Callable[[int], EmbeddingSet]
 ) -> EmbeddingSet:
-    """Reconstruct the irregular carrier set from the base set, checking each
-    block's dichotomy against the auxiliary carrier ``aux_of(nu)``.
-
-    Either nu and its tail lie in the base set with the tail off the auxiliary
-    set, or the reverse: on the tail, the two agree with _side_carrier of the
-    base set for theta = {} and {nu}.  The result keeps each block's marked
-    element as in the base set and drops the 1-tail; it is checked against
-    the weighted congruences.
+    """Reconstruct J = Jprime - J0 by running the forward rule on it: on each
+    block's 1-tail, Jprime must be J's base carrier and ``aux_of(nu)`` its
+    full carrier, which a marked{nu} carrier equals there (nu is in both
+    thetas), or the block breaks the dichotomy.  J is then checked against
+    the weighted congruences of the base side.
     """
     Jp = embedding_set(w.f, Jprime)
-    J0, bd = set_J0(w), blocks(w)
-    base_bad = Jp ^ _side_carrier(Jp, J0, bd, frozenset())
+    J0, bd, sides = set_J0(w), blocks(w), companion_sides(w)
+    J = Jp - J0
+    base = _side_carrier(J, J0, bd, sides[0].theta)
+    full = _side_carrier(J, J0, bd, sides[-1].theta)
     for blk in bd.blocks:
-        aux_bad = aux_of(blk.nu) ^ _side_carrier(Jp, J0, bd, frozenset({blk.nu}))
-        if (base_bad | aux_bad).intersection(blk.tail):
+        if ((Jp ^ base) | (aux_of(blk.nu) ^ full)).intersection(blk.tail):
             raise DichotomyError(
                 f"carrier sets violate the block dichotomy on block {blk.indices}"
             )
-    J = Jp - J0
     m = ctx.m1
     s, t = st_sequences(ht_table(w), J)
-    sp, tp = st_sequences(companion_sides(w)[0].table, Jp)
+    sp, tp = st_sequences(sides[0].table, Jp)
     if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
         raise AssertionError("reconstructed carrier fails the weighted congruence")
     return J
@@ -228,7 +224,7 @@ def backward_from_mus(
 ) -> EmbeddingSet:
     """Reconstruct the irregular carrier set from the base and all marked sets."""
     _validate(ctx, w)
-    if set(Jmu) != set(set_Mtilde(w)):
+    if set(Jmu) != companion_sides(w)[-1].theta:
         raise ValueError("need one marked carrier set per marked index")
     return _backward(ctx, w, Jprime, lambda nu: embedding_set(w.f, Jmu[nu]))
 
@@ -322,7 +318,7 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     J0 = set_J0(w)
     sides, seqs = fs.sides, fs.splits
     Mt = sides[-1].theta
-    bd = blocks(w)
+    tail_of = {blk.nu: blk.tail for blk in blocks(w).blocks}
 
     def expect(name: str, x: Sequence[int], y: Sequence[int], want: list[int]) -> None:
         diff = tuple([a - b for a, b in zip(x, y)])
@@ -343,11 +339,7 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     for side, (sm, tm) in zip(sides[1:-1], seqs[1:-1]):
         (mu,) = side.theta
         if mu in fs.J:
-            blk = bd.block_of(mu)
-            want = [
-                1 if i == mu or (i in J0 and i in blk.indices and nxt(i) in J0) else 0
-                for i in range(f)
-            ]
+            want = [1 if i == mu or (i in tail_of[mu] and nxt(i) in J0) else 0 for i in range(f)]
             expect(f"base-vs-{side.name}/s", sp, sm, want)
             expect(f"base-vs-{side.name}/t", tm, tp, want)
 

@@ -13,7 +13,8 @@ rewritings from an irregular weight to its regular companion weights, the
 backward reconstruction, and the equivalence audit over niveau-2 character
 exponents.  Each applies a niveau-1 rule to the doubled data: the exponents
 split the table with rows doubled, the forward carriers are the companion
-carrier rule of the weight with k doubled, and the audit reads its
+carrier rule of the weight with k doubled (the backward reconstruction
+compares its input with them), and the audit reads its
 exponents off weights.split_sums and decides as the semisimple one does.
 """
 
@@ -193,9 +194,11 @@ def irr_backward(
     """Reconstruct a balanced carrier for the irregular weight.
 
     Takes the base companion's carrier plus either the per-marked-index
-    carriers or the fully marked one.  Verifies the pairwise character
-    congruences mod p^{2f}-1 and the block dichotomy, then returns a carrier
-    for w agreeing with the base carrier away from the k=1 indices.
+    carriers or the fully marked one.  The block dichotomy is the forward
+    rule compared: the base carrier must be its own irr_forward base
+    carrier.  Verifies the pairwise character congruences mod p^{2f}-1,
+    then returns a carrier for w agreeing with the base carrier away from
+    the k=1 indices.
     """
     validate_irregular(w)
     f = w.f
@@ -204,9 +207,7 @@ def irr_backward(
         raise ValueError("base carrier must be balanced")
     if (mus is None) == (theta is None):
         raise ValueError("provide exactly one of mus or theta")
-    # the dichotomy is the base side's tail rule on the doubled weight
-    w2 = Weight(w.p, w.k * 2)
-    if bad := Jp ^ _side_carrier(Jp, set_J0(w2), blocks(w2), frozenset()):
+    if bad := Jp ^ irr_forward(w, Jp).base:
         raise DichotomyError(f"lift {min(bad)} disagrees with the marked lift of its block")
 
     base, *marked, full = companion_sides(w)

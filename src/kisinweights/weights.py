@@ -243,14 +243,18 @@ class Side:
 def companion_sides(w: Weight) -> tuple[Side, ...]:
     """The companions of a valid irregular w as sides theta of Mtilde.
 
-    Order: base (theta empty), marked{mu} for each mu ascending (theta =
-    {mu}), full (theta = Mtilde).  Side theta has the closed form of
-    ht_table(companion weight): rows (k_i-1, -1) on theta, (k_i-2, 0) on
-    Mtilde minus theta, (p-1, 0) on J0 and M, (p, 0) on J0 minus M and
-    (k_i-1, 0) elsewhere.
+    Order: base (theta empty), marked{nu} for each block's nu ascending
+    (theta = {nu}), full (theta = Mtilde).  Side theta has the closed form
+    of ht_table(companion weight): rows (k_i-1, -1) on theta, (k_i-2, 0) on
+    Mtilde minus theta, (p-1, 0) on J0 before a 1, (p, 0) on the rest of J0
+    and (k_i-1, 0) elsewhere.
+
+    Mtilde is the blocks' marked elements: a valid w has no 2 before a 1,
+    so a chain of 2s leading to a 1 is empty and k_nu >= 3.  Hence
+    M = {i : k_{i+1} = 1} and Mtilde = Mtilde2 = {nu}.
     """
-    p, k = w.p, w.k
-    J0, M, Mt = set_J0(w), set_M(w), set_Mtilde(w)
+    p, k, f = w.p, w.k, w.f
+    Mt = frozenset(blk.nu for blk in blocks(w).blocks)
 
     def side(name: str, theta: EmbeddingSet) -> Side:
         rows = []
@@ -259,8 +263,8 @@ def companion_sides(w: Weight) -> tuple[Side, ...]:
                 rows.append((ki - 1, -1))
             elif i in Mt:
                 rows.append((ki - 2, 0))
-            elif i in J0:
-                rows.append((p - 1 if i in M else p, 0))
+            elif ki == 1:
+                rows.append((p - 1 if k[(i + 1) % f] == 1 else p, 0))
             else:
                 rows.append((ki - 1, 0))
         return Side(name, theta, HTWeightTable(p, tuple(rows)))
@@ -334,15 +338,7 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    f: int
     blocks: tuple[Block, ...]
-
-    def block_of(self, i: int) -> Block:
-        i %= self.f
-        for blk in self.blocks:
-            if i in blk.indices:
-                return blk
-        raise KeyError(i)
 
 
 @lru_cache(maxsize=8)
@@ -355,7 +351,6 @@ def blocks(w: Weight) -> BlockDecomposition:
     if all(ki == 1 for ki in k) or all(ki != 1 for ki in k):
         raise ValueError("block decomposition needs both 1 and non-1 entries")
     starts = [i for i in range(f) if k[i] != 1 and k[(i - 1) % f] == 1]
-    starts.sort()
     out = []
     for n, start in enumerate(starts):
         nxt = starts[(n + 1) % len(starts)]
@@ -364,4 +359,4 @@ def blocks(w: Weight) -> BlockDecomposition:
         head = tuple(i for i in idxs if k[i] != 1)
         tail = tuple(i for i in idxs if k[i] == 1)
         out.append(Block(idxs, head, tail, head[-1]))
-    return BlockDecomposition(f, tuple(out))
+    return BlockDecomposition(tuple(out))

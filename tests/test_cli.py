@@ -389,6 +389,39 @@ def test_out_file(tmp_path, capsys):
     assert doc["kprime"]["k"] == [2, 4]
 
 
+def _cache_is_a_file(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    return [*LEMMA71, "--cache", str(tmp_path / "file")]
+
+
+def _record_path_is_a_directory(tmp_path, capsys):
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    slot.unlink()
+    slot.mkdir()
+    return [*LEMMA71, "--cache", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "request_of",
+    [
+        lambda tmp, _: ["shift", "--p", "3", "--f", "2", "--k", "1,3", "--out", str(tmp / "missing" / "x.json")],
+        lambda tmp, _: ["enumerate", "--p", "3", "--f", "2", "--out", str(tmp / "missing" / "x.jsonl")],
+        lambda tmp, _: ["match", "--p", "3", "--f", "2", "--k", "3,1", "--out", str(tmp / "missing" / "x.json")],
+        _cache_is_a_file,
+        _record_path_is_a_directory,
+    ],
+    ids=["shift-out", "enumerate-out", "refused-match-out", "cache-is-a-file", "record-is-a-directory"],
+)
+def test_unwritable_path_is_refused_on_stdout(tmp_path, capsys, request_of):
+    # an I/O error is bad input, not a broken claim; --out may be the path that failed
+    argv = request_of(tmp_path, capsys)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (code, doc["error"], err) == (EXIT_USAGE, "invalid", "")
+    assert doc["reason"].startswith("[Errno ")
+
+
 def test_invalid_input_exit_usage(capsys):
     code, out = run(capsys, "match", "--p", "3", "--f", "2", "--k", "3,1")
     assert code == EXIT_USAGE and json.loads(out)["error"] == "invalid"

@@ -24,17 +24,8 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import in_range, normalize_twist, set_M_by_walk, set_Mtilde_by_walk
-
-
-def valid_weights(p, f):
-    for k in itertools.product(range(1, p + 1), repeat=f):
-        w = Weight(p, k)
-        try:
-            validate_irregular(w)
-        except ValueError:
-            continue
-        yield w
+from kisinweights import weights
+from oracles import in_range, normalize_twist, set_M_by_walk, set_Mtilde_by_walk, valid_weights
 
 
 def test_validate():
@@ -177,20 +168,20 @@ def test_blocks():
     by_nu = {blk.nu: blk for blk in bd.blocks}
     assert by_nu[1].indices == (1, 2) and by_nu[1].tail == (2,)
     assert by_nu[3].indices == (3, 0) and by_nu[3].tail == (0,)
-    assert bd.block_of(0) is by_nu[3]
     # blocks partition the index cycle
     seen = sorted(i for blk in bd.blocks for i in blk.indices)
     assert seen == [0, 1, 2, 3]
 
 
 def test_blocks_contain_one_marked_element():
-    for p in (3, 5):
-        for f in (2, 3, 4):
+    # the lemma companion_sides rests on: no 2 comes before a 1, so a chain
+    # of 2s leading to a 1 is empty and every block's nu has k_nu >= 3
+    for p in (3, 5, 7):
+        for f in range(1, 6):
             for w in valid_weights(p, f):
-                Mt = set_Mtilde(w)
-                for blk in blocks(w).blocks:
-                    assert sum(1 for i in blk.indices if i in Mt) == 1
-                    assert blk.nu in Mt
+                nus = {blk.nu for blk in blocks(w).blocks}
+                assert set_Mtilde(w) == set_Mtilde2(w) == nus, w.k
+                assert set_M(w) == {i for i in range(f) if w.k[(i + 1) % f] == 1}, w.k
 
 
 def test_normalize_twist():
@@ -217,6 +208,24 @@ def test_companion_sides_match_construction():
                     *[ht_table(weight_kmu(w, mu)) for mu in Mt],
                     ht_table(weight_ktheta(w)),
                 ]
+
+
+@pytest.mark.parametrize("p,f", [(5, 4), (7, 4), (11, 3)])
+def test_companion_sides_walk_no_marked_sets(monkeypatch, p, f):
+    # the sides read the marking off the blocks, not off the string walks
+    ws = valid_weights(p, f)
+    want = [
+        [ht_table(weight_kprime(w)), *[ht_table(weight_kmu(w, mu)) for mu in sorted(set_Mtilde(w))], ht_table(weight_ktheta(w))]
+        for w in ws
+    ]
+
+    def walk(w):
+        raise AssertionError("companion_sides walked a marked set")
+
+    for name in ("set_M", "set_Mtilde", "set_Mtilde2"):
+        monkeypatch.setattr(weights, name, walk)
+    companion_sides.cache_clear()
+    assert [[side.table for side in companion_sides(w)] for w in ws] == want
 
 
 def test_bmu_table_refuses_unmarked_index():
