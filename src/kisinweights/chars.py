@@ -9,50 +9,47 @@ moves the index up by one, so the character with exponent vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import Context
 from .rankone import weighted_sum
 
 
-@dataclass(frozen=True)
-class InertialChar:
+class InertialChar(NamedTuple("InertialChar", [("p", int), ("f", int), ("niveau", int), ("exponent", int)])):
     """A power of a fundamental character: niveau 1 or 2, exponent mod p^(nf)-1."""
 
-    p: int
-    f: int
-    niveau: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.niveau not in (1, 2):
-            raise ValueError(f"niveau must be 1 or 2, got {self.niveau}")
-        object.__setattr__(self, "exponent", self.exponent % self.modulus)
+    def __new__(cls, p: int, f: int, niveau: int, exponent: int) -> "InertialChar":
+        if niveau not in (1, 2):
+            raise ValueError(f"niveau must be 1 or 2, got {niveau}")
+        return super().__new__(cls, p, f, niveau, exponent % (p ** (niveau * f) - 1))
 
     @property
     def modulus(self) -> int:
         return self.p ** (self.niveau * self.f) - 1
 
 
-@dataclass(frozen=True)
-class SemisimpleShape:
+class SemisimpleShape(NamedTuple("SemisimpleShape", [("first", InertialChar), ("second", InertialChar)])):
     """An unordered pair of niveau-1 characters (a two-dimensional tame shape)."""
 
-    first: InertialChar
-    second: InertialChar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.first.p, self.first.f) != (self.second.p, self.second.f):
+    def __new__(cls, first: InertialChar, second: InertialChar) -> "SemisimpleShape":
+        if (first.p, first.f) != (second.p, second.f):
             raise ValueError("mismatched character contexts")
-        if self.first.niveau != 1 or self.second.niveau != 1:
+        if first.niveau != 1 or second.niveau != 1:
             raise ValueError("semisimple shape takes niveau-1 characters")
+        return super().__new__(cls, first, second)
 
     def as_set(self) -> frozenset[int]:
         return frozenset((self.first.exponent, self.second.exponent))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SemisimpleShape) and self.as_set() == other.as_set()
+
+    def __ne__(self, other: object) -> bool:  # tuple.__ne__ would compare in order
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.first.p, self.first.f, self.as_set()))

@@ -24,19 +24,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import os
-import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .field import Context
 from .matching import (
@@ -103,7 +100,11 @@ def _encode(x: Any, nl: str) -> str:
             return int.__repr__(x) if abs(x) < JSON_INT_LIMIT else _escape(str(x))
         if isinstance(x, (frozenset, set)):
             x = sorted(x)
+        elif hasattr(x, "_asdict") and not isinstance(x, type):  # a record: the object of its fields
+            x = x._asdict()
         elif not isinstance(x, (list, tuple, dict)):
+            import dataclasses  # loaded only for a value no other rule takes
+
             if not dataclasses.is_dataclass(x) or isinstance(x, type):
                 raise TypeError(f"cannot serialize {type(x).__name__}")
             x = {fld.name: getattr(x, fld.name) for fld in dataclasses.fields(x)}
@@ -124,7 +125,7 @@ def dumps(doc: Any) -> str:
 
 def jsonable(x: Any) -> Any:
     """The document ``dumps`` writes, read back: deterministic JSON-safe data, with big
-    integers as decimal strings, sets as sorted lists and dataclasses as dicts."""
+    integers as decimal strings, sets as sorted lists, and records and dataclasses as dicts."""
     return json.loads(dumps(x))
 
 
@@ -464,8 +465,7 @@ EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_FAIL, "refused": EXIT_USAGE}
 RECORD_FIELDS = frozenset({"suite", "params", "outcome", "detail"})
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Serializable outcome of one verification suite run."""
 
     suite: str
@@ -490,7 +490,7 @@ def _source_digest() -> str:
 
 
 def _fingerprint() -> str:
-    return f"kisinweights sha256:{_source_digest()} / python {platform.python_version()}"
+    return f"kisinweights sha256:{_source_digest()} / python {sys.version.split()[0]}"
 
 
 def _record_key(suite: str, params: dict) -> str:

@@ -15,38 +15,51 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to every base
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases, exact for n < MR_BOUND; a
+    larger n raises ValueError."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    if n in _MR_BASES:
+        return True
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is decided only below {MR_BOUND}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple("Context", [("p", int), ("f", int), ("d", int)])):
     """Global arithmetic context: odd prime p, residue degree f, coefficient degree d."""
 
-    p: int
-    f: int
-    d: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.f < 1:
-            raise ValueError(f"f must be >= 1, got {self.f}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+    def __new__(cls, p: int, f: int, d: int = 1) -> "Context":
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if f < 1:
+            raise ValueError(f"f must be >= 1, got {f}")
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        return super().__new__(cls, p, f, d)
 
     @property
     def m1(self) -> int:

@@ -15,8 +15,7 @@ the audit decides it with no field element (see subspace_transport_audit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .chars import SemisimpleShape
 from .field import Context
@@ -91,8 +90,7 @@ def achievable_pairs(ctx: Context, table: HTWeightTable) -> frozenset[frozenset[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForwardSets:
+class ForwardSets(NamedTuple):
     """Companion carrier sets attached to (w, J), with the splits forward_sets checked.
 
     ``st`` splits ht_table(w) along J.  ``sides`` is companion_sides(w), and
@@ -234,8 +232,7 @@ def backward_from_mus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of an equivalence check over all character pairs."""
 
     total: int
@@ -360,8 +357,7 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(NamedTuple):
     """Exceptional-case scan for an irregular weight and its companions."""
 
     irregular_hits: tuple[EmbeddingSet, ...]
@@ -374,17 +370,13 @@ class ExceptionalReport:
 
 
 def _side_constraint(bd: BlockDecomposition, theta: EmbeddingSet, J: EmbeddingSet) -> bool:
-    """The per-block carrier constraint of a side.
-
-    For the base side (theta empty) each block's 1-tail follows its marked
-    element; otherwise the tail takes the opposite side on the blocks whose
-    marked element is in theta.
-    """
-    return all(
-        all(((i in J) == (blk.nu in J)) != bool(theta) for i in blk.tail)
-        for blk in bd.blocks
-        if not theta or blk.nu in theta
-    )
+    """The per-block carrier constraint of a side: J is the side's carrier
+    (_side_carrier) on the 1-tails of the blocks it constrains, every block
+    for the base side (theta empty), else the blocks whose marked element is
+    in theta."""
+    J0 = frozenset(i for blk in bd.blocks for i in blk.tail)
+    tails = {i for blk in bd.blocks if not theta or blk.nu in theta for i in blk.tail}
+    return not (J ^ _side_carrier(J, J0, bd, theta)) & tails
 
 
 def _exceptional_carriers(p: int, r: tuple[int, ...]) -> list[EmbeddingSet]:
@@ -435,8 +427,7 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportAuditReport:
+class TransportAuditReport(NamedTuple):
     """Per-side results of transporting whole parameter families."""
 
     dim: int

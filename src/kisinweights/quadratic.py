@@ -21,8 +21,7 @@ exponents off weights.split_sums and decides as the semisimple one does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .chars import frobenius_stable
 from .matching import DichotomyError, _disagreements, _side_carrier
@@ -141,8 +140,7 @@ def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForwardWitnesses:
+class ForwardWitnesses(NamedTuple):
     """Balanced carriers realizing each regular companion weight."""
 
     base: QuadSet
@@ -235,8 +233,7 @@ def irr_backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrrEquivalenceReport:
+class IrrEquivalenceReport(NamedTuple):
     p: int
     f: int
     k: tuple[int, ...]

@@ -9,10 +9,9 @@ all slope differences are non-negative integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .field import FieldElem
 
@@ -29,43 +28,38 @@ def embedding_subsets(f: int) -> list[EmbeddingSet]:
     return [frozenset(i for i in range(f) if mask >> i & 1) for mask in range(1 << f)]
 
 
-@dataclass(frozen=True)
-class RankOneKisin:
+class RankOneKisin(NamedTuple("RankOneKisin", [("p", int), ("r", tuple[int, ...]), ("a", FieldElem)])):
     """Rank-one module: exponents r_i and a unit scalar a."""
 
-    p: int
-    r: tuple[int, ...]
-    a: FieldElem
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", tuple(self.r))
-        if len(self.r) < 1:
+    def __new__(cls, p: int, r: Iterable[int], a: FieldElem) -> "RankOneKisin":
+        r = tuple(r)
+        if len(r) < 1:
             raise ValueError("need at least one exponent")
-        if self.a.is_zero():
+        if a.is_zero():
             raise ValueError("scalar must be a unit")
+        return super().__new__(cls, p, r, a)
 
     @property
     def f(self) -> int:
         return len(self.r)
 
 
-@dataclass(frozen=True)
-class ExtensionType:
+class ExtensionType(
+    NamedTuple("ExtensionType", [("p", int), ("r", tuple[int, ...]), ("a", FieldElem), ("b", FieldElem), ("J", EmbeddingSet)])
+):
     """Shape data of a rank-two extension: exponents r, scalars (a, b), carrier set J.
 
     The quotient line carries exponents r_i for i in J (zero outside) and
     scalar a; the sub line carries the complementary exponents and scalar b.
     """
 
-    p: int
-    r: tuple[int, ...]
-    a: FieldElem
-    b: FieldElem
-    J: EmbeddingSet
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", tuple(self.r))
-        object.__setattr__(self, "J", embedding_set(len(self.r), self.J))
+    def __new__(cls, p: int, r: Iterable[int], a: FieldElem, b: FieldElem, J: Iterable[int]) -> "ExtensionType":
+        r = tuple(r)
+        return super().__new__(cls, p, r, a, b, embedding_set(len(r), J))
 
     @property
     def f(self) -> int:
@@ -179,8 +173,7 @@ def weighted_sum(p: int, r: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CyclicString:
+class CyclicString(NamedTuple):
     """A cyclic interval [start, start+length) carrying one of the basic patterns.
 
     kind "signed" with sign +1 is the pattern (-1, p-1, ..., p-1, p); sign -1
@@ -202,8 +195,7 @@ class CyclicString:
         return tuple(self.sign * v for v in vals)
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(NamedTuple):
     """Result of decomposing a congruent exponent tuple."""
 
     p: int

@@ -14,29 +14,28 @@ coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .field import FieldElem, FiniteField, UPoly, poly_phi
 from .rankone import ExtensionType, RankOneKisin, _hom_twist, exceptional_case
 
 
-@dataclass(frozen=True)
-class PhiExtension:
+class PhiExtension(
+    NamedTuple("PhiExtension", [("quotient", RankOneKisin), ("sub", RankOneKisin), ("x", tuple[UPoly, ...])])
+):
     """Extension of quotient line N = (s; a) by sub line P = (t; b), parameters x_i."""
 
-    quotient: RankOneKisin
-    sub: RankOneKisin
-    x: tuple[UPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(self.x))
-        if (self.quotient.p, self.quotient.f) != (self.sub.p, self.sub.f):
+    def __new__(cls, quotient: RankOneKisin, sub: RankOneKisin, x: Iterable[UPoly]) -> "PhiExtension":
+        x = tuple(x)
+        if (quotient.p, quotient.f) != (sub.p, sub.f):
             raise ValueError("quotient and sub over different rings")
-        if len(self.x) != self.quotient.f:
+        if len(x) != quotient.f:
             raise ValueError("need one parameter per index")
-        if any(si < 0 for si in self.quotient.r) or any(ti < 0 for ti in self.sub.r):
+        if any(si < 0 for si in quotient.r) or any(ti < 0 for ti in sub.r):
             raise ValueError("extension exponents must be effective (twist first)")
+        return super().__new__(cls, quotient, sub, x)
 
     @property
     def p(self) -> int:
@@ -57,8 +56,7 @@ class PhiExtension:
         return self.sub.r
 
 
-@dataclass(frozen=True)
-class PhiMorphism:
+class PhiMorphism(NamedTuple):
     """Per-index matrices; column 0/1 = image of (e_i, f_i) in the (e'_i, f'_i) basis."""
 
     matrices: tuple[tuple[tuple[UPoly, UPoly], tuple[UPoly, UPoly]], ...]

@@ -18,37 +18,30 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .rankone import EmbeddingSet, weighted_sum
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A two-dimensional weight: integer tuples k (dominant part) and l (twist part)."""
+class Weight(NamedTuple("Weight", [("p", int), ("k", tuple[int, ...]), ("l", tuple[int, ...])])):
+    """A two-dimensional weight: integer tuples k (dominant part) and l (twist part, zeros when empty)."""
 
-    p: int
-    k: tuple[int, ...]
-    l: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", tuple(self.k))
-        if not self.l:
-            object.__setattr__(self, "l", (0,) * len(self.k))
-        else:
-            object.__setattr__(self, "l", tuple(self.l))
-        if len(self.k) != len(self.l):
+    def __new__(cls, p: int, k: Iterable[int], l: Iterable[int] = ()) -> "Weight":
+        k = tuple(k)
+        l = tuple(l) if l else (0,) * len(k)
+        if len(k) != len(l):
             raise ValueError("k and l must have equal length")
+        return super().__new__(cls, p, k, l)
 
     @property
     def f(self) -> int:
         return len(self.k)
 
 
-@dataclass(frozen=True)
-class HTWeightTable:
+class HTWeightTable(NamedTuple):
     """Per-index pairs (b_1, b_2) of Hodge-Tate style exponents, b_1 >= b_2."""
 
     p: int
@@ -230,8 +223,7 @@ def ht_table(w: Weight) -> HTWeightTable:
     return HTWeightTable(w.p, tuple((ki + li - 1, li) for ki, li in zip(w.k, w.l)))
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One regular companion of an irregular weight: the theta-shift on theta, h on the rest."""
 
     name: str
@@ -326,8 +318,7 @@ def split_sums(table: HTWeightTable) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A maximal cyclic run of non-1 entries followed by its run of 1s."""
 
     indices: tuple[int, ...]  # cyclically consecutive
@@ -336,8 +327,7 @@ class Block:
     nu: int  # last index of the head (the marked element for valid weights)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     blocks: tuple[Block, ...]
 
 

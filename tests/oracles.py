@@ -572,8 +572,8 @@ def jsonable(x: Any) -> Any:
     """Convert a value into deterministic JSON-safe data: the recursive copy
     that kisinweights.cli.dumps once handed to json.dumps.
 
-    Big integers become decimal strings, sets become sorted lists,
-    dataclasses become dicts.
+    Big integers become decimal strings, sets become sorted lists, records
+    (anything with _asdict) and dataclasses become dicts.
     """
     if isinstance(x, bool) or x is None or isinstance(x, str):
         return x
@@ -581,6 +581,8 @@ def jsonable(x: Any) -> Any:
         return str(x) if abs(x) >= JSON_INT_LIMIT else x
     if isinstance(x, (frozenset, set)):
         return [jsonable(v) for v in sorted(x)]
+    if hasattr(x, "_asdict") and not isinstance(x, type):
+        return jsonable(x._asdict())
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):

@@ -3,7 +3,6 @@
 per-carrier scan below is its reference.  enumerate's per-unit reference
 is in test_cli.py."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -139,7 +138,7 @@ def test_a_row_reading_k_beyond_its_type_passes_the_classes_but_not_the_scan(mon
         def rows(side):
             return tuple((b1 + (ki == 4 and (b1, b2) == (3, 0)), b2) for ki, (b1, b2) in zip(w.k, side.table.rows))
 
-        return tuple(dataclasses.replace(side, table=HTWeightTable(w.p, rows(side))) for side in real(w))
+        return tuple(side._replace(table=HTWeightTable(w.p, rows(side))) for side in real(w))
 
     monkeypatch.setattr(matching, "companion_sides", mutated)
     ctx = Context(5, 3)

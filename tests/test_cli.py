@@ -11,7 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
-from typing import Any
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -427,6 +427,12 @@ def test_invalid_input_exit_usage(capsys):
     assert code == EXIT_USAGE and json.loads(out)["error"] == "invalid"
 
 
+def test_p_beyond_the_primality_bound_exit_usage(capsys):
+    code, out = run(capsys, "shift", "--p", str(2**82), "--f", "2", "--k", "1,3")
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (EXIT_USAGE, "invalid") and "decided only below" in doc["reason"]
+
+
 def test_dumps_deterministic():
     doc = {"z": 1, "a": frozenset({2, 1}), "m": 2**60}
     assert dumps(doc) == dumps({"a": {1, 2}, "m": 2**60, "z": 1})
@@ -434,6 +440,11 @@ def test_dumps_deterministic():
 
 @dataclasses.dataclass(frozen=True)
 class Pair:
+    first: Any
+    second: Any
+
+
+class NamedPair(NamedTuple):  # a record, as the package's own are
     first: Any
     second: Any
 
@@ -461,6 +472,7 @@ DOCUMENTS = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "a", "", '"'])), children, max_size=5),
         st.builds(Pair, children, children),
+        st.builds(NamedPair, children, children),
     ),
     max_leaves=24,
 )
@@ -477,7 +489,7 @@ def test_dumps_is_json_dumps_of_the_jsonable_oracle(doc):
     assert jsonable(doc) == json.loads(dumps(doc)) == oracles.jsonable(doc)
 
 
-@pytest.mark.parametrize("value", [1.5, object(), Pair, {1: [complex(1, 1)]}])
+@pytest.mark.parametrize("value", [1.5, object(), Pair, {1: [complex(1, 1)]}, NamedPair])
 def test_dumps_refuses_what_the_oracle_refuses(value):
     for convert in (dumps, jsonable, oracles.jsonable):
         with pytest.raises(TypeError, match="cannot serialize"):

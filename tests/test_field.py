@@ -1,16 +1,19 @@
 """Finite field, modulus selection and polynomial layer."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from kisinweights.field import (
+    MR_BOUND,
     _generator_powers,
     frobenius,
     Context,
     UPoly,
+    is_prime,
     make_field,
     poly_phi,
     smallest_irreducible,
@@ -25,6 +28,35 @@ def test_context_validation():
         Context(2, 1, 1)
     with pytest.raises(ValueError):
         Context(3, 0, 1)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n) != trial(n)] == []
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # a Carmichael number, and strong pseudoprimes to bases 2-7 and 2-23
+    assert not is_prime(n)
+
+
+def test_large_prime_context_is_immediate():
+    start = time.perf_counter()
+    ctx = Context(2**61 - 1, 2)
+    assert time.perf_counter() - start < 1.0  # trial division would take about a minute
+    assert ctx == (2**61 - 1, 2, 1)
+
+
+def test_is_prime_refuses_past_its_bound():
+    assert not is_prime(MR_BOUND - 1)
+    # MR_BOUND itself is composite and passes every base: it must be refused, not answered
+    with pytest.raises(ValueError, match=str(MR_BOUND)):
+        is_prime(MR_BOUND)
+    with pytest.raises(ValueError, match=str(MR_BOUND)):
+        Context(MR_BOUND + 2, 1)
 
 
 def test_context_moduli():

@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and importing the
+console frontend loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,18 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_platform():
+    """The records are NamedTuples and the fingerprint reads sys.version, so a
+    console call's start-up imports none of these modules."""
+    code = (
+        "import sys\n"
+        "import kisinweights.cli\n"
+        "from kisinweights.field import make_field\n"
+        "make_field(5, 1)\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'platform') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == []

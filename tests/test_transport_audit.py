@@ -4,7 +4,6 @@ every unit pair, and oracles.basis_transport_audit, which transports a basis
 of each family through check_phi_morphism at one unit pair, here run on
 crafted splits that reach every condition of the audit."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -110,7 +109,7 @@ def crafted_forward_sets(draw, ctx):
         splits.append(
             (tuple(x + y for x, y in zip(s, dN)), tuple(x + y for x, y in zip(t, dP)))
         )
-    return w, J, dataclasses.replace(fs, splits=tuple(splits))
+    return w, J, fs._replace(splits=tuple(splits))
 
 
 @pytest.mark.parametrize("p,f,d", ((3, 2, 1), (5, 2, 1), (3, 3, 1), (3, 2, 2)))
