@@ -17,13 +17,16 @@ parsers; the reader side undoes this.
 
 Exit codes: 0 success / suite passed; 1 verification failure or a dichotomy
 violation; 2 usage, validation or --out/--cache I/O error.
+
+Every subcommand's options are declared once, in ``OPTIONS``.  ``main`` reads a
+subcommand followed only by its exact ``--flag`` and ``--option value`` tokens
+straight off that table; argparse, built from it, answers every other argv
+(abbreviations, ``--opt=value``, ``-h``, bad values) and writes all help and usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import copy
 import functools
 import hashlib
 import itertools
@@ -33,7 +36,8 @@ import sys
 import tempfile
 import time
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .field import Context
 from .matching import (
@@ -159,60 +163,10 @@ def _parse_shard(text: str) -> tuple[int, int]:
     idx, _, total = text.partition("/")
     i, n = int(idx), int(total)
     if n < 1 or not 0 <= i < n:
+        import argparse  # only a refusal needs it
+
         raise argparse.ArgumentTypeError("shard must be i/n with 0 <= i < n")
     return i, n
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser.  Its tree is built on the first call and kept
-    for the process; each call returns a shallow copy of the root, so an
-    attribute a caller rebinds on it (a tracer wrapping ``parse_args``, say)
-    stays with that call.  Parsing leaves the tree as it was: ``parse_args``
-    fills a fresh namespace and ``--jmu`` copies its default list."""
-    return copy.copy(_parser_tree()[0])
-
-
-@functools.lru_cache(maxsize=None)
-def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The root parser and its subparsers by subcommand name."""
-    parser = argparse.ArgumentParser(
-        prog="kisinweights",
-        description="Exact weight-shift, matching and verification queries.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp: argparse.ArgumentParser, need_k: bool = False) -> None:
-        sp.add_argument("--p", type=int, required=True, help="odd prime")
-        sp.add_argument("--f", type=int, required=True, help="number of embedding indices")
-        sp.add_argument("--d", type=int, default=1, help="coefficient field degree")
-        if need_k:
-            sp.add_argument("--k", type=_csv_ints, required=True, help="weight, comma-separated")
-        sp.add_argument("--out", default=None, help="write the document here instead of stdout")
-
-    sp = sub.add_parser("shift", help="companion weights and tables")
-    common(sp, need_k=True)
-    sp.add_argument("--l", type=_csv_ints, default=None, help="twist part, comma-separated")
-    sp.add_argument("--allow-alt", action="store_true", help="emit the alternative fully-marked weight even when the weight is refused")
-
-    sp = sub.add_parser("match", help="carrier-set matching")
-    common(sp, need_k=True)
-    sp.add_argument("--j", type=_csv_ints, default=None, help="carrier set for the forward direction")
-    sp.add_argument("--jprime", type=_csv_ints, default=None, help="base carrier set (backward direction)")
-    sp.add_argument("--jtheta", type=_csv_ints, default=None, help="fully-marked carrier set (backward)")
-    sp.add_argument("--jmu", action="append", default=[], metavar="MU:IDXS", help="marked carrier set, e.g. 0:0,1 (repeatable)")
-
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    common(sp)
-    sp.add_argument("--suite", required=True, choices=sorted(SUITES), help="suite name")
-    sp.add_argument("--k", type=_csv_ints, default=None, help="weight for weight-specific suites")
-    sp.add_argument("--cache", default=None, help="result cache directory")
-    sp.add_argument("--force", action="store_true", help="recompute and compare against any cached record")
-
-    sp = sub.add_parser("enumerate", help="stream (weight, carrier set) units as JSON lines")
-    common(sp)
-    sp.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="I/N", help="emit only shard I of N")
-
-    return parser, sub.choices
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +178,7 @@ def _weight_doc(w: Weight) -> dict:
     return {"k": w.k, "l": w.l, "table": ht_table(w).rows}
 
 
-def cmd_shift(args: argparse.Namespace) -> int:
+def cmd_shift(args: SimpleNamespace) -> int:
     Context(args.p, args.f, args.d)  # refuses a bad p, f or d
     w = Weight(args.p, args.k, args.l or ())
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k, "l": w.l}
@@ -260,7 +214,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_match(args: argparse.Namespace) -> int:
+def cmd_match(args: SimpleNamespace) -> int:
     ctx = Context(args.p, args.f, args.d)
     w = Weight(args.p, args.k)
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k}
@@ -559,7 +513,7 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> Verific
     return VerificationRecord(suite, params, outcome, result, elapsed, _fingerprint())
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     ctx = Context(args.p, args.f, args.d)
     params = {"p": ctx.p, "f": ctx.f, "d": ctx.d, "k": list(args.k) if args.k else None}
     cache_path = None
@@ -595,7 +549,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     """Stream every unit, weights ascending.  Carriers and congruences
     depend only on the type word (weights.weight_classes): each word is
     proven once, at its first weight's basis carriers, and a word of (p-2)^#3s
@@ -636,30 +590,106 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class Option(NamedTuple):
+    """One option of a subcommand, in the terms of argparse's add_argument."""
+
+    flag: str
+    help: str
+    convert: Callable[[str], Any] = str
+    required: bool = False
+    default: Any = None
+    action: str = "store"  # store | store_true | append
+    metavar: Optional[str] = None
+    choices: Optional[Sequence[str]] = None
+
+
+_CONTEXT = (Option("--p", "odd prime", int, True), Option("--f", "number of embedding indices", int, True),
+            Option("--d", "coefficient field degree", int, default=1))
+_K = Option("--k", "weight, comma-separated", _csv_ints, True)
+_OUT = Option("--out", "write the document here instead of stdout")
+
+# The command line, declared once: each subcommand's help and its options in --help order.
+OPTIONS = {
+    "shift": ("companion weights and tables", (*_CONTEXT, _K, _OUT,
+        Option("--l", "twist part, comma-separated", _csv_ints),
+        Option("--allow-alt", "emit the alternative fully-marked weight even when the weight is refused", default=False, action="store_true"))),
+    "match": ("carrier-set matching", (*_CONTEXT, _K, _OUT,
+        Option("--j", "carrier set for the forward direction", _csv_ints),
+        Option("--jprime", "base carrier set (backward direction)", _csv_ints),
+        Option("--jtheta", "fully-marked carrier set (backward)", _csv_ints),
+        Option("--jmu", "marked carrier set, e.g. 0:0,1 (repeatable)", default=[], action="append", metavar="MU:IDXS"))),
+    "verify": ("run a named verification suite", (*_CONTEXT, _OUT,
+        Option("--suite", "suite name", required=True, choices=sorted(SUITES)),
+        Option("--k", "weight for weight-specific suites", _csv_ints),
+        Option("--cache", "result cache directory"),
+        Option("--force", "recompute and compare against any cached record", default=False, action="store_true"))),
+    "enumerate": ("stream (weight, carrier set) units as JSON lines", (*_CONTEXT, _OUT,
+        Option("--shard", "emit only shard I of N", _parse_shard, default=(0, 1), metavar="I/N"))),
+}
+
+
+def build_parser():
+    """A shallow copy of the argparse root, built once per process: an attribute a
+    caller rebinds on it (a tracer wrapping ``parse_args``) stays with that call."""
+    import copy
+
+    return copy.copy(_parser_tree())
+
+
+@functools.lru_cache(maxsize=None)
+def _parser_tree():
+    """The root argparse parser, with one subparser per entry of OPTIONS."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="kisinweights", description="Exact weight-shift, matching and verification queries.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, options) in OPTIONS.items():
+        sp = sub.add_parser(name, help=text)
+        for opt in options:
+            kw = {} if opt.action == "store_true" else {"type": opt.convert, "metavar": opt.metavar, "choices": opt.choices}
+            sp.add_argument(opt.flag, action=opt.action, required=opt.required, default=opt.default, help=opt.help, **kw)
+    return parser
+
+
+def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse returns for argv, read off OPTIONS, when argv is a
+    subcommand, then only its exact flags, each value one token not led by "-"
+    that converts and is among the choices, and every required option; else None."""
+    if not argv or argv[0] not in OPTIONS:
+        return None
+    options = {opt.flag: opt for opt in OPTIONS[argv[0]][1]}
+    args = {flag: opt.default for flag, opt in options.items()}
+    tokens = iter(argv[1:])
+    for opt in map(options.get, tokens):
+        switch = opt is not None and opt.action == "store_true"
+        text = "" if switch else next(tokens, "-")
+        if opt is None or text.startswith("-"):
+            return None
+        try:
+            value = True if switch else opt.convert(text)
+        except Exception:  # argparse refuses it, or raises it again
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        args[opt.flag] = [*args[opt.flag], value] if opt.action == "append" else value  # a repeat: the last
+    if any(opt.required and args[flag] is None for flag, opt in options.items()):  # required: no default
+        return None
+    return SimpleNamespace(subcommand=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in args.items()})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Answer one request; safe to call many times in one process.  A request that its
-    subcommand's parser takes whole skips the root parser, which reads all others."""
+    """Answer one request; safe to call many times in one process.  A well-formed
+    request is read off OPTIONS; argparse answers every other."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    subparser = _parser_tree()[1].get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extra = subparser.parse_known_args(argv[1:])
-        args.subcommand = argv[0]
-    if subparser is None or extra:
-        args = build_parser().parse_args(argv)
-    # looked up per call, so that a rebound cmd_* (a tracer's probe) is the one run
-    handlers = {
-        "shift": cmd_shift,
-        "match": cmd_match,
-        "verify": cmd_verify,
-        "enumerate": cmd_enumerate,
-    }
+    args = _read_args(argv) or build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
         try:
             k = getattr(args, "k", None)
             if k is not None and len(k) != args.f:
                 raise ValueError(f"expected {args.f} weight entries, got {len(k)}")
-            return handlers[args.subcommand](args)
+            # cmd_<subcommand>, looked up per call, so that a rebound one (a tracer's probe) is run
+            return globals()[f"cmd_{args.subcommand}"](args)
         except DichotomyError as err:
             _write_out(dumps({"error": "dichotomy", "reason": str(err)}), out)
             return EXIT_FAIL

@@ -248,7 +248,9 @@ class IrrEquivalenceReport(NamedTuple):
 def _achievable(table: HTWeightTable) -> frozenset[int]:
     """Exponents of the balanced carriers.  The one holding K on the first
     copy holds the complement of K on the second, so it splits the doubled
-    table as s + t, of exponent x p^f + C - x for (x, C) of split_sums."""
+    table as s + t, of exponent u_K = x p^f + C - x for (x, C) of split_sums.
+    The set is closed under e -> p^f e: C - x_K = x_{K^c}, so
+    u_K p^f = x_K p^{2f} + x_{K^c} p^f = u_{K^c} mod p^{2f}-1."""
     pf = table.p**table.f
     xs, C = split_sums(table)
     return frozenset((x * pf + C - x) % (pf * pf - 1) for x in xs)
@@ -259,11 +261,10 @@ def _exponent_report(
 ) -> IrrEquivalenceReport:
     """Verdict over the p^{2f} - p^f exponents mod p^{2f}-1 that are not
     Frobenius-stable, given the achievable exponents S of the irregular table
-    and of each side; a table hits the exponents of S | p^f S.  Each verdict
-    reads one exponent, so the stable ones are dropped from the disagreements."""
-    mod = p ** (2 * f) - 1
-    hits = lambda S: {e for u in S for e in (u, u * p**f % mod)}
-    bad = (e for e, *_ in _disagreements(hits, A_irr, side_sets) if not frobenius_stable(p, f, e))
+    and of each side.  A table hits the exponents of S | p^f S, which is S, as
+    each S is closed under e -> p^f e (_achievable).  Each verdict reads one
+    exponent, so the stable ones are dropped from the disagreements."""
+    bad = (e for e, *_ in _disagreements(frozenset, A_irr, side_sets) if not frobenius_stable(p, f, e))
     return IrrEquivalenceReport(p, f, k, p ** (2 * f) - p**f, tuple(bad))
 
 

@@ -345,8 +345,7 @@ def blocks(w: Weight) -> BlockDecomposition:
     for n, start in enumerate(starts):
         nxt = starts[(n + 1) % len(starts)]
         length = (nxt - start) % f or f
-        idxs = tuple((start + j) % f for j in range(length))
-        head = tuple(i for i in idxs if k[i] != 1)
-        tail = tuple(i for i in idxs if k[i] == 1)
-        out.append(Block(idxs, head, tail, head[-1]))
+        idxs = [i % f for i in range(start, start + length)]
+        cut = [k[i] for i in idxs].index(1)  # the head is the run before the first 1
+        out.append(Block(tuple(idxs), tuple(idxs[:cut]), tuple(idxs[cut:]), idxs[cut - 1]))
     return BlockDecomposition(tuple(out))

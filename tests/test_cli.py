@@ -1,9 +1,11 @@
 """Command-line frontend: documents, exit codes, cache, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import functools
+import io
 import itertools
 import json
 import os
@@ -163,6 +165,8 @@ def test_match_dichotomy_exit_code(capsys):
 
 
 def test_parser_tree_built_once_per_process(monkeypatch, capsys):
+    """A well-formed request builds no argparse parser; the first request that
+    needs one builds the tree of 5 (the root and one per subcommand), once."""
     cli._parser_tree.cache_clear()
     inits = []
     init = argparse.ArgumentParser.__init__
@@ -172,13 +176,14 @@ def test_parser_tree_built_once_per_process(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    run(capsys, "shift", "--p", "3", "--f", "2", "--k", "3,1")
-    tree = len(inits)
-    assert tree == 5  # the root and one parser per subcommand
     for _ in range(10):
+        run(capsys, "shift", "--p", "3", "--f", "2", "--k", "3,1")
         run(capsys, "match", "--p", "3", "--f", "2", "--k", "3,1", "--j", "0")
         run(capsys, "verify", "--suite", "lemma71", "--p", "3", "--f", "2")
-    assert len(inits) == tree
+    assert inits == []
+    for _ in range(3):
+        assert run(capsys, "verify", "--su", "lemma71", "--p", "3", "--f", "2")[0] == EXIT_OK
+    assert len(inits) == 5
     assert cli.build_parser()._actions is cli.build_parser()._actions
 
 
@@ -232,14 +237,18 @@ PARSE_CORPUS = [
     ["match", "--p", "3"],
     ["--", "shift", "--p", "5", "--f", "2", "--k", "1,3"],
     ["shift", "--p", "5", "--f", "2", "--", "--k", "1,3"],
+    ["shift", "--p=5", "--f", "2", "--k", "1,3"],
+    ["enumerate", "--p", "3", "--f", "2", "--shard", "5/2"],
+    ["shift", "--p", "-5", "--f", "2", "--k", "1,3"],
+    ["match", "--p", "3", "--f", "2", "--k", "3,1", "--jprime", "0,1", "--jmu", "0:0", "--jmu", "0:1"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
 def test_subparser_route_answers_as_the_root_parser(monkeypatch, capsys, argv):
-    """main hands a request led by a subcommand to that subparser alone; the
-    old route, build_parser().parse_args(argv), is the oracle: the same exit
-    code, stdout and stderr for every request, valid or not."""
+    """main reads a well-formed request off cli.OPTIONS and hands the rest to
+    argparse; argparse alone, build_parser().parse_args(argv), is the oracle:
+    the same exit code, stdout and stderr for every request, valid or not."""
 
     def answer():
         try:
@@ -250,9 +259,68 @@ def test_subparser_route_answers_as_the_root_parser(monkeypatch, capsys, argv):
         return code, re.sub(r'"wall_time_ms": \d+', "", out), err
 
     direct = answer()
-    root = cli._parser_tree()[0]
-    monkeypatch.setattr(cli, "_parser_tree", lambda: (root, {}))  # no subparser to go to
+    cli._parser_tree()  # built from the table before it is emptied
+    monkeypatch.setattr(cli, "OPTIONS", {})  # no direct route: argparse reads every argv
     assert answer() == direct
+
+
+# any option's values: good, bad, empty and negative ones
+TABLE_VALUES = ["3", "1,3", "0", "", " 7", "1,,3", "x", "-1", "-5,3", "5/2", "2/0", "bogus", "0:0,1"]
+# values each converter takes
+GOOD_VALUES = {int: ["3", "5", "0", " 7"], cli._csv_ints: ["1,3", "3,1", "0", "", " 1, 3"], cli._parse_shard: ["0/2", "1/2"]}
+
+
+def option_tokens(opt):
+    """The option's exact flag and, unless it is a switch, a value it mostly takes."""
+    if opt.action == "store_true":
+        return st.just([opt.flag])
+    good = list(opt.choices or GOOD_VALUES.get(opt.convert, ["out.json", "0:0,1"]))
+    return st.tuples(st.just(opt.flag), st.sampled_from(good * 8 + TABLE_VALUES)).map(list)
+
+
+@st.composite
+def table_argv(draw):
+    """A subcommand (or not) and tokens drawn from its options in cli.OPTIONS:
+    mostly exact flags with values, most often the required ones first, and
+    now and then a prefix, ``--opt=value``, a repeat, a lone flag, ``-h``,
+    ``--`` or a stray token."""
+    name = draw(st.sampled_from([*cli.OPTIONS, "nope"]))
+    options = cli.OPTIONS.get(name, cli.OPTIONS["shift"])[1]
+    flags = st.sampled_from([opt.flag for opt in options])
+    given_option = st.sampled_from(options).flatmap(option_tokens)
+    odd = st.one_of(
+        flags.map(lambda flag: [flag]),
+        flags.map(lambda flag: [flag[:-1]] if len(flag) > 3 else [flag]),
+        st.tuples(flags, st.sampled_from(TABLE_VALUES)).map(lambda fv: ["=".join(fv)]),
+        st.sampled_from([["-h"], ["--help"], ["--"], ["stray"], ["--bogus"]]),
+    )
+    items = [draw(option_tokens(opt)) for opt in options if opt.required] if draw(st.integers(0, 3)) else []
+    items += draw(st.lists(st.one_of(*[given_option] * 6, odd), max_size=5))
+    return [name, *(token for item in items for token in item)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(table_argv())
+@example(["match", "--p", "3", "--f", "2", "--k", "3,1", "--jprime", "0", "--jmu", "0:0", "--jmu", "1:2"])
+@example(["verify", "--suite", "lemma71", "--p", "3", "--f", "2", "--force", "--force", "--p", "5"])
+@example(["enumerate", "--p", "3", "--f", "2", "--shard", "1/2"])
+@example(["shift", "--p", "3", "--f", "2", "--k", "", "--allow-alt", "--l", "0,1"])
+def test_direct_route_reads_as_argparse(argv):
+    direct = cli._read_args(argv)
+    if direct is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses what the direct route read: {err.getvalue()}")
+    assert vars(direct) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS[:4] + PARSE_CORPUS[-1:], ids=" ".join)
+def test_well_formed_requests_take_the_direct_route(argv):
+    direct = cli._read_args(argv)
+    assert direct is not None and vars(direct) == vars(cli.build_parser().parse_args(argv))
 
 
 def test_verify_pass_and_unknown(capsys):

@@ -50,3 +50,21 @@ def test_cli_import_loads_no_dataclasses_inspect_or_platform():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == []
+
+
+def test_well_formed_request_loads_no_argparse():
+    """main reads a well-formed request off cli.OPTIONS, so argparse (with
+    gettext and locale) loads only for a request it must answer."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from kisinweights.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['shift', '--p', '5', '--f', '2', '--k', '1,3']),\n"
+        "             main(['verify', '--suite', 'lemma71', '--p', '3', '--f', '2'])]\n"
+        "print(*codes, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "main(['nope'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["0", "0"]
+    assert out.returncode == 2 and out.stderr.startswith("usage: kisinweights")

@@ -233,6 +233,19 @@ def test_equivalence_audit_refuses_invalid():
         irr_equivalence_audit(Weight(3, (2, 1)))
 
 
+@pytest.mark.parametrize("p,f", [(3, 3), (3, 4), (5, 3), (5, 4), (7, 3)])
+def test_achievable_exponents_closed_under_conjugation(p, f):
+    # u_K p^f = u_{K^c} mod p^(2f)-1, so _exponent_report's hits are the achievable sets themselves
+    mod = p ** (2 * f) - 1
+    tables = 0
+    for w in valid_weights(p, f):
+        for table in [ht_table(w)] + [side.table for side in companion_sides(w)]:
+            A = _achievable(table)
+            assert {e * p**f % mod for e in A} == A, (w.k, table.rows)
+            tables += 1
+    assert tables > 0
+
+
 def test_existence_invariant_under_conjugation():
     # hitting {e, p^f e} is symmetric by construction; check through the API
     w = Weight(3, (3, 1))

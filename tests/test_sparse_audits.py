@@ -97,10 +97,12 @@ def pair_inputs(draw):
 
 @st.composite
 def exponent_inputs(draw):
-    """A small (p, f) and achievable exponent sets, as in pair_inputs."""
+    """A small (p, f) and achievable exponent sets, as in pair_inputs, each
+    closed under e -> p^f e as every table's achievable set is."""
     p, f = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]))
     mod = p ** (2 * f) - 1
-    exps = st.frozensets(st.integers(0, mod - 1), max_size=5)
+    drawn = st.frozensets(st.integers(0, mod - 1), max_size=5)
+    exps = drawn.map(lambda S: S | {e * p**f % mod for e in S})
     n_marked = draw(st.integers(0, 3))
     return p, f, draw(exps), [draw(exps) for _ in range(n_marked + 2)]
 
@@ -126,7 +128,7 @@ def test_counterexamples_in_scan_order():
     report = _pair_report(4, frozenset(), [full, full])
     assert report.counterexamples == ((1, 2, False, True, True), (2, 1, False, True, True))
     assert (report.total, report.agreements) == (16, 14)
-    # only the irregular table achieves 1 (p = 3, f = 1: conjugate of 1 is 3)
-    report = _exponent_report(3, 1, (1,), frozenset({1}), [frozenset(), frozenset()])
+    # only the irregular table achieves 1 and its conjugate 3 (p = 3, f = 1)
+    report = _exponent_report(3, 1, (1,), frozenset({1, 3}), [frozenset(), frozenset()])
     assert report.counterexamples == (1, 3)
     assert report.checked == 9 - 3
