@@ -13,7 +13,7 @@ Subcommands:
 All output is deterministic for a fixed configuration (the only varying
 field is ``wall_time_ms``).  Integers with absolute value >= 2^53 are
 serialized as decimal strings so documents survive double-precision JSON
-parsers; the reader side undoes this.
+parsers; no reader here decodes them, ``int(text)`` does.
 
 Exit codes: 0 success / suite passed; 1 verification failure or a dichotomy
 violation; 2 usage, validation or --out/--cache I/O error.
@@ -90,30 +90,21 @@ EXIT_USAGE = 2
 
 def _encode(x: Any, nl: str) -> str:
     """The text of ``json.dumps(jsonable(x), sort_keys=True, indent=2)`` at the
-    depth whose newline and indent is ``nl``.  Ints and containers of the exact
-    types the frontend builds are tested first, then the rest of the rule."""
+    depth whose newline and indent is ``nl``.  It takes the exact types the
+    frontend builds (int, str, bool, None, set, frozenset, list, tuple, dict)."""
     t = type(x)
     if t is int:
         return str(x) if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else f'"{x}"'
     if t is not list and t is not tuple and t is not dict:
-        if isinstance(x, str):
+        if t is str:
             return _escape(x)
-        if x is None or isinstance(x, bool):
+        if x is None or t is bool:
             return "null" if x is None else "true" if x else "false"
-        if isinstance(x, int):
-            return int.__repr__(x) if abs(x) < JSON_INT_LIMIT else _escape(str(x))
-        if isinstance(x, (frozenset, set)):
-            x = sorted(x)
-        elif hasattr(x, "_asdict") and not isinstance(x, type):  # a record: the object of its fields
-            x = x._asdict()
-        elif not isinstance(x, (list, tuple, dict)):
-            import dataclasses  # loaded only for a value no other rule takes
-
-            if not dataclasses.is_dataclass(x) or isinstance(x, type):
-                raise TypeError(f"cannot serialize {type(x).__name__}")
-            x = {fld.name: getattr(x, fld.name) for fld in dataclasses.fields(x)}
+        if t is not set and t is not frozenset:
+            raise TypeError(f"cannot serialize {t.__name__}")
+        x = sorted(x)
     inner = nl + "  "
-    if isinstance(x, dict):
+    if t is dict:
         # str keys first, as a later key that collides replaces the value; sorted by key only
         named = {str(k): v for k, v in x.items()}
         items = [f"{_escape(k)}: {_encode(named[k], inner)}" for k in sorted(named)]
@@ -129,7 +120,7 @@ def dumps(doc: Any) -> str:
 
 def jsonable(x: Any) -> Any:
     """The document ``dumps`` writes, read back: deterministic JSON-safe data, with big
-    integers as decimal strings, sets as sorted lists, and records and dataclasses as dicts."""
+    integers as decimal strings, tuples as lists and sets as sorted lists."""
     return json.loads(dumps(x))
 
 
@@ -161,8 +152,11 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 def _parse_shard(text: str) -> tuple[int, int]:
     idx, _, total = text.partition("/")
-    i, n = int(idx), int(total)
-    if n < 1 or not 0 <= i < n:
+    try:
+        i, n = int(idx), int(total)
+    except ValueError:  # not i/n: refused below with the same text
+        i = n = 0
+    if not 0 <= i < n:
         import argparse  # only a refusal needs it
 
         raise argparse.ArgumentTypeError("shard must be i/n with 0 <= i < n")
@@ -179,7 +173,7 @@ def _weight_doc(w: Weight) -> dict:
 
 
 def cmd_shift(args: SimpleNamespace) -> int:
-    Context(args.p, args.f, args.d)  # refuses a bad p, f or d
+    Context(args.p, args.f)  # refuses a bad p or f
     w = Weight(args.p, args.k, args.l or ())
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k, "l": w.l}
     try:
@@ -199,7 +193,7 @@ def cmd_shift(args: SimpleNamespace) -> int:
     doc["Mtilde2"] = set_Mtilde2(w)
     doc["blocks"] = [
         {"indices": blk.indices, "head": blk.head, "tail": blk.tail, "marked": blk.nu}
-        for blk in blocks(w).blocks
+        for blk in blocks(w)
     ]
     doc["kprime"] = _weight_doc(weight_kprime(w))
     doc["kmu"] = {mu: _weight_doc(weight_kmu(w, mu)) for mu in sorted(set_Mtilde(w))}
@@ -215,7 +209,7 @@ def cmd_shift(args: SimpleNamespace) -> int:
 
 
 def cmd_match(args: SimpleNamespace) -> int:
-    ctx = Context(args.p, args.f, args.d)
+    ctx = Context(args.p, args.f)
     w = Weight(args.p, args.k)
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k}
     mus = {}
@@ -419,17 +413,6 @@ EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_FAIL, "refused": EXIT_USAGE}
 RECORD_FIELDS = frozenset({"suite", "params", "outcome", "detail"})
 
 
-class VerificationRecord(NamedTuple):
-    """Serializable outcome of one verification suite run."""
-
-    suite: str
-    params: dict
-    outcome: str  # pass | fail | refused
-    detail: dict
-    wall_time_ms: int
-    fingerprint: str
-
-
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """sha256 of the package sources, computed on first use: the digest of the
@@ -486,11 +469,10 @@ def _stable_view(record_doc: dict) -> dict:
     return view
 
 
-def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> VerificationRecord:
-    """Refuse input the suite cannot take (a missing --k, a --k it does not
-    read, an invalid weight, a size with no valid weight to audit); an error
-    the suite itself raises is a failure."""
-    params = {"p": ctx.p, "f": ctx.f, "d": ctx.d, "k": list(k) if k else None}
+def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]], params: dict) -> dict:
+    """The record of one run of the request ``params``.  Refuse input the suite
+    cannot take (a missing --k, a --k it does not read, an invalid weight, a size
+    with no valid weight to audit); an error the suite itself raises is a failure."""
     start = time.monotonic()
     try:
         if k is None and suite in NEEDS_K:
@@ -509,8 +491,8 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]]) -> Verific
         except (ValueError, AssertionError) as err:
             result = {"outcome": "fail", "reason": str(err)}
     elapsed = int((time.monotonic() - start) * 1000)
-    outcome = result.pop("outcome")
-    return VerificationRecord(suite, params, outcome, result, elapsed, _fingerprint())
+    return {"suite": suite, "params": params, "outcome": result.pop("outcome"), "detail": result,
+            "wall_time_ms": elapsed, "fingerprint": _fingerprint()}
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -527,7 +509,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
         doc = cached_doc
         doc["cache"] = "hit"
     else:
-        text = dumps(run_suite(args.suite, ctx, args.k))
+        text = dumps(run_suite(args.suite, ctx, args.k, params))
         doc = json.loads(text)  # jsonable(record)
         if cache_path is not None:
             _atomic_write(cache_path, text)
@@ -554,7 +536,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     depend only on the type word (weights.weight_classes): each word is
     proven once, at its first weight's basis carriers, and a word of (p-2)^#3s
     > 1 weights keeps its line prefix per J (at most #repeating words * 2^f)."""
-    ctx = Context(args.p, args.f, args.d)
+    ctx = Context(args.p, args.f)
     shard_i, shard_n = args.shard
 
     def lines() -> Iterator[str]:
@@ -576,7 +558,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
                 if (mask := unit - first) not in cache:
                     Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])  # marked: mu ascending
                     # the jsonable form less "k" and "unit", which sort last; every int here is small
-                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(blk.nu for blk in blocks(w).blocks), Jmus)}
+                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(blk.nu for blk in blocks(w)), Jmus)}
                     record = {"J": sorted(subsets[mask]), "Jprime": sorted(Jprime), "Jtheta": sorted(Jtheta), "Jmu": Jmu}
                     cache[mask] = json.dumps(record, sort_keys=True)[:-1] + ", "
                 yield f"{cache[mask]}{tail}{unit}}}\n"
@@ -603,8 +585,7 @@ class Option(NamedTuple):
     choices: Optional[Sequence[str]] = None
 
 
-_CONTEXT = (Option("--p", "odd prime", int, True), Option("--f", "number of embedding indices", int, True),
-            Option("--d", "coefficient field degree", int, default=1))
+_CONTEXT = (Option("--p", "odd prime", int, True), Option("--f", "number of embedding indices", int, True))
 _K = Option("--k", "weight, comma-separated", _csv_ints, True)
 _OUT = Option("--out", "write the document here instead of stdout")
 
@@ -618,7 +599,7 @@ OPTIONS = {
         Option("--jprime", "base carrier set (backward direction)", _csv_ints),
         Option("--jtheta", "fully-marked carrier set (backward)", _csv_ints),
         Option("--jmu", "marked carrier set, e.g. 0:0,1 (repeatable)", default=[], action="append", metavar="MU:IDXS"))),
-    "verify": ("run a named verification suite", (*_CONTEXT, _OUT,
+    "verify": ("run a named verification suite", (*_CONTEXT, Option("--d", "coefficient field degree", int, default=1), _OUT,
         Option("--suite", "suite name", required=True, choices=sorted(SUITES)),
         Option("--k", "weight for weight-specific suites", _csv_ints),
         Option("--cache", "result cache directory"),

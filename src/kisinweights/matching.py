@@ -29,7 +29,7 @@ from .rankone import (
     weighted_sum,
 )
 from .weights import (
-    BlockDecomposition,
+    Block,
     HTWeightTable,
     Side,
     Weight,
@@ -118,12 +118,12 @@ class ForwardSets(NamedTuple):
 
 
 def _side_carrier(
-    J: EmbeddingSet, J0: EmbeddingSet, bd: BlockDecomposition, theta: EmbeddingSet
+    J: EmbeddingSet, J0: EmbeddingSet, bd: tuple[Block, ...], theta: EmbeddingSet
 ) -> EmbeddingSet:
     """J off the k = 1 locus, plus each block's 1-tail where its marked element's
     membership in J differs from its membership in theta."""
     out = set(J - J0)
-    for blk in bd.blocks:
+    for blk in bd:
         if (blk.nu in J) != (blk.nu in theta):
             out.update(blk.tail)
     return frozenset(out)
@@ -195,7 +195,7 @@ def _backward(
     J = Jp - J0
     base = _side_carrier(J, J0, bd, sides[0].theta)
     full = _side_carrier(J, J0, bd, sides[-1].theta)
-    for blk in bd.blocks:
+    for blk in bd:
         if ((Jp ^ base) | (aux_of(blk.nu) ^ full)).intersection(blk.tail):
             raise DichotomyError(
                 f"carrier sets violate the block dichotomy on block {blk.indices}"
@@ -315,7 +315,7 @@ def appendix_alpha_audit(ctx: Context, w: Weight, J: Iterable[int]) -> None:
     J0 = set_J0(w)
     sides, seqs = fs.sides, fs.splits
     Mt = sides[-1].theta
-    tail_of = {blk.nu: blk.tail for blk in blocks(w).blocks}
+    tail_of = {blk.nu: blk.tail for blk in blocks(w)}
 
     def expect(name: str, x: Sequence[int], y: Sequence[int], want: list[int]) -> None:
         diff = tuple([a - b for a, b in zip(x, y)])
@@ -369,13 +369,13 @@ class ExceptionalReport(NamedTuple):
         return not self.irregular_hits and not self.constrained_hits
 
 
-def _side_constraint(bd: BlockDecomposition, theta: EmbeddingSet, J: EmbeddingSet) -> bool:
+def _side_constraint(bd: tuple[Block, ...], theta: EmbeddingSet, J: EmbeddingSet) -> bool:
     """The per-block carrier constraint of a side: J is the side's carrier
     (_side_carrier) on the 1-tails of the blocks it constrains, every block
     for the base side (theta empty), else the blocks whose marked element is
     in theta."""
-    J0 = frozenset(i for blk in bd.blocks for i in blk.tail)
-    tails = {i for blk in bd.blocks if not theta or blk.nu in theta for i in blk.tail}
+    J0 = frozenset(i for blk in bd for i in blk.tail)
+    tails = {i for blk in bd if not theta or blk.nu in theta for i in blk.tail}
     return not (J ^ _side_carrier(J, J0, bd, theta)) & tails
 
 

@@ -246,7 +246,7 @@ def companion_sides(w: Weight) -> tuple[Side, ...]:
     M = {i : k_{i+1} = 1} and Mtilde = Mtilde2 = {nu}.
     """
     p, k, f = w.p, w.k, w.f
-    Mt = frozenset(blk.nu for blk in blocks(w).blocks)
+    Mt = frozenset(blk.nu for blk in blocks(w))
 
     def side(name: str, theta: EmbeddingSet) -> Side:
         rows = []
@@ -327,12 +327,8 @@ class Block(NamedTuple):
     nu: int  # last index of the head (the marked element for valid weights)
 
 
-class BlockDecomposition(NamedTuple):
-    blocks: tuple[Block, ...]
-
-
 @lru_cache(maxsize=8)
-def blocks(w: Weight) -> BlockDecomposition:
+def blocks(w: Weight) -> tuple[Block, ...]:
     """Cyclic block decomposition of an irregular weight.
 
     Requires at least one 1 and one non-1 entry; blocks partition Z/f.
@@ -348,4 +344,4 @@ def blocks(w: Weight) -> BlockDecomposition:
         idxs = [i % f for i in range(start, start + length)]
         cut = [k[i] for i in idxs].index(1)  # the head is the run before the first 1
         out.append(Block(tuple(idxs), tuple(idxs[:cut]), tuple(idxs[cut:]), idxs[cut - 1]))
-    return BlockDecomposition(tuple(out))
+    return tuple(out)

@@ -26,7 +26,7 @@ from kisinweights.rankone import (
 )
 from kisinweights.ranktwo import PhiExtension, PhiMorphism, _scalar_at, transport_forward
 from kisinweights.weights import (
-    BlockDecomposition,
+    Block,
     HTWeightTable,
     Weight,
     blocks,
@@ -398,7 +398,7 @@ def backward_dichotomy_block(w: Weight, Jprime, aux_of: Callable[[int], frozense
     auxiliary carriers aux_of(nu) violate, else None: either nu and its tail
     lie in the base set with the tail off the auxiliary set, or the reverse."""
     Jp = embedding_set(w.f, Jprime)
-    for blk in blocks(w).blocks:
+    for blk in blocks(w):
         Jaux = aux_of(blk.nu)
         part = (blk.nu, *blk.tail)
         if blk.nu in Jp:
@@ -440,12 +440,12 @@ def lift_in(J, i: int, f: int) -> int:
     return i if i in J else i + f
 
 
-def quad_witness(f: int, J, J0, bd: BlockDecomposition, theta) -> frozenset[int]:
+def quad_witness(f: int, J, J0, bd: tuple[Block, ...], theta) -> frozenset[int]:
     """Carrier for a companion side: on each block's trailing k=1 run, take
     the lifts following the marked element's in-J lift (or the opposite lift
     for the blocks whose marked element is in the side's ``theta``)."""
     out = {q for q in J if q % f not in J0}
-    for blk in bd.blocks:
+    for blk in bd:
         anchor = lift_in(J, blk.nu, f)
         if blk.nu in theta:
             anchor = (anchor + f) % (2 * f)
@@ -496,7 +496,7 @@ def quad_dichotomy_holds(w: Weight, Jprime) -> bool:
     """Whether each lift of a marked element agrees with the lifts of its
     block's trailing k=1 run: all in or all out of the base carrier."""
     f = w.f
-    for blk in blocks(w).blocks:
+    for blk in blocks(w):
         for q in (blk.nu, blk.nu + f):
             inside = q in Jprime
             for n in range(1, len(blk.tail) + 1):

@@ -89,13 +89,35 @@ def test_shift_refuses_out_of_range_entries(capsys, p, k, alt):
         (["--p", "4", "--f", "2", "--k", "1,3"], "p must be an odd prime, got 4"),
         (["--p", "9", "--f", "2", "--k", "1,3"], "p must be an odd prime, got 9"),
         (["--p", "2", "--f", "2", "--k", "1,2"], "p must be an odd prime, got 2"),
-        (["--p", "3", "--f", "2", "--k", "1,3", "--d", "0"], "d must be >= 1, got 0"),
     ],
 )
 def test_shift_refuses_bad_context(capsys, argv, reason):
     code, out = run(capsys, "shift", *argv)
     assert code == EXIT_USAGE
     assert json.loads(out) == {"error": "invalid", "reason": reason}
+
+
+def test_verify_refuses_bad_degree(capsys):
+    code, out = run(capsys, "verify", "--suite", "lemma71", "--p", "3", "--f", "2", "--d", "0")
+    assert code == EXIT_USAGE
+    assert json.loads(out) == {"error": "invalid", "reason": "d must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "--p", "5", "--f", "2", "--k", "1,3"],
+        ["match", "--p", "5", "--f", "2", "--k", "1,3", "--j", "0"],
+        ["enumerate", "--p", "5", "--f", "2"],
+    ],
+    ids=["shift", "match", "enumerate"],
+)
+def test_only_verify_takes_a_degree(capsys, argv):
+    """--d changes only the answers of verify; the other subcommands refuse it."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--d", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE and "unrecognized arguments: --d 2" in err
 
 
 @pytest.mark.parametrize(
@@ -381,6 +403,16 @@ def test_verify_cache(tmp_path, capsys):
     assert json.loads(o4)["cache"] == "miss"
 
 
+@pytest.mark.parametrize("shard", ["5/2", "0/1/2", "a/2", "3", "0/0"])
+def test_enumerate_refuses_a_bad_shard(capsys, shard):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--p", "3", "--f", "2", "--shard", shard])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("usage: kisinweights enumerate")
+    assert err.endswith("error: argument --shard: shard must be i/n with 0 <= i < n\n")
+
+
 def test_enumerate_sharding(capsys):
     _, full = run(capsys, "enumerate", "--p", "3", "--f", "2")
     full_lines = full.strip().splitlines()
@@ -517,8 +549,7 @@ class NamedPair(NamedTuple):  # a record, as the package's own are
     second: Any
 
 
-class Size(enum.IntEnum):  # an int subclass on each side of 2^53
-    SMALL = 2**53 - 1
+class Size(enum.IntEnum):  # an int subclass, which the frontend never builds
     BIG = 2**53
 
 
@@ -527,7 +558,6 @@ TEXT = st.text(st.sampled_from('a1"\\/\b\n\r\t\x00\x1f\x7f\xe9\u20ac\u2028\U0001
 LEAVES = st.one_of(
     BOUNDARY_INTS,
     st.booleans(),
-    st.sampled_from(Size),
     st.none(),
     TEXT,
     st.sets(BOUNDARY_INTS, max_size=4),
@@ -539,8 +569,6 @@ DOCUMENTS = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(st.one_of(st.integers(-2, 2), st.sampled_from(["1", "-1", "a", "", '"'])), children, max_size=5),
-        st.builds(Pair, children, children),
-        st.builds(NamedPair, children, children),
     ),
     max_leaves=24,
 )
@@ -549,7 +577,7 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(DOCUMENTS)
 @example({1: "int key", "1": "str key", 2**53: (), "x": frozenset()})
-@example({"1": [True, None], 1: Pair({(1, 2), (0, 5)}, -(2**53))})
+@example({"1": [True, None], 1: ({(1, 2), (0, 5)}, -(2**53))})
 def test_dumps_is_json_dumps_of_the_jsonable_oracle(doc):
     """dumps writes in one walk what json.dumps writes of the old recursive
     jsonable copy, byte for byte, and jsonable reads that document back."""
@@ -557,9 +585,14 @@ def test_dumps_is_json_dumps_of_the_jsonable_oracle(doc):
     assert jsonable(doc) == json.loads(dumps(doc)) == oracles.jsonable(doc)
 
 
-@pytest.mark.parametrize("value", [1.5, object(), Pair, {1: [complex(1, 1)]}, NamedPair])
+@pytest.mark.parametrize(
+    "value", [1.5, object(), Pair, {1: [complex(1, 1)]}, NamedPair, NamedPair(1, 2), Pair(1, 2), Size.BIG]
+)
 def test_dumps_refuses_what_the_oracle_refuses(value):
-    for convert in (dumps, jsonable, oracles.jsonable):
+    """dumps takes only the exact types the frontend builds: it also refuses the
+    records, dataclasses and int subclasses that the oracle still reads."""
+    converters = (dumps, jsonable) if type(value) in (NamedPair, Pair, Size) else (dumps, jsonable, oracles.jsonable)
+    for convert in converters:
         with pytest.raises(TypeError, match="cannot serialize"):
             convert(value)
 
@@ -654,7 +687,7 @@ def test_verify_miss_dumps_the_record_once(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "dumps", lambda doc: docs.append(doc) or dumps(doc))
     _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
     walks = [type(doc).__name__ for doc in docs if not (isinstance(doc, dict) and "source" in doc)]
-    assert walks == ["VerificationRecord", "dict"]
+    assert walks == ["dict", "dict"]
     doc = json.loads(out)
     assert doc.pop("cache") == "miss"
     (slot,) = tmp_path.iterdir()

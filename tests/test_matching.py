@@ -274,7 +274,7 @@ def per_side_carriers(w, J):
     J0 = set_J0(w)
     base = J - J0
     Jp, Jth = set(base), set(base)
-    for blk in blocks(w).blocks:
+    for blk in blocks(w):
         if blk.nu in J:
             Jp |= set(blk.tail)
         else:
@@ -282,7 +282,7 @@ def per_side_carriers(w, J):
     Jmu = {}
     for mu in set_Mtilde(w):
         Jm = set(base)
-        for blk in blocks(w).blocks:
+        for blk in blocks(w):
             follows = blk.nu in J
             if blk.nu == mu:
                 follows = not follows
@@ -360,7 +360,7 @@ def per_side_constraints(w):
     base side's tails follow their marked element on every block; a marked
     side's tail takes the opposite side on its own block only; the full
     side's on every block."""
-    blk_tails = [(blk.nu, blk.tail) for blk in blocks(w).blocks]
+    blk_tails = [(blk.nu, blk.tail) for blk in blocks(w)]
 
     def prime(tails, J):
         return all((nu in J and all(i in J for i in t)) or (nu not in J and all(i not in J for i in t)) for nu, t in tails)

@@ -164,12 +164,12 @@ def test_st_sequences():
 def test_blocks():
     w = Weight(7, (1, 5, 1, 4))
     bd = blocks(w)
-    assert len(bd.blocks) == 2
-    by_nu = {blk.nu: blk for blk in bd.blocks}
+    assert len(bd) == 2
+    by_nu = {blk.nu: blk for blk in bd}
     assert by_nu[1].indices == (1, 2) and by_nu[1].tail == (2,)
     assert by_nu[3].indices == (3, 0) and by_nu[3].tail == (0,)
     # blocks partition the index cycle
-    seen = sorted(i for blk in bd.blocks for i in blk.indices)
+    seen = sorted(i for blk in bd for i in blk.indices)
     assert seen == [0, 1, 2, 3]
 
 
@@ -179,7 +179,7 @@ def test_blocks_contain_one_marked_element():
     for p in (3, 5, 7):
         for f in range(1, 6):
             for w in valid_weights(p, f):
-                nus = {blk.nu for blk in blocks(w).blocks}
+                nus = {blk.nu for blk in blocks(w)}
                 assert set_Mtilde(w) == set_Mtilde2(w) == nus, w.k
                 assert set_M(w) == {i for i in range(f) if w.k[(i + 1) % f] == 1}, w.k
 
