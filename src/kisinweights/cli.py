@@ -51,6 +51,7 @@ from .matching import (
     forward_sets,
     semisimple_equivalence_audit,
     subspace_transport_audit,
+    transport_exponents,
 )
 from .quadratic import irr_equivalence_audit
 from .rankone import (
@@ -367,14 +368,26 @@ def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    """Audit every J.  The audit reads no unit pair, so each side's family
-    stands for all (p^d-1)^2 of them, and families_transported counts them
-    in closed form."""
+    """Audit the f+1 basis carriers, which decide every J: forward_sets'
+    congruences by matching.basis_carriers, and the rest as follows.  Each
+    per-index quantity reads one bit of J, so the basis shows both values of each
+    effectiveness test.  cN and cP are integer_slopes (linear) of the affine
+    ss - s and ts - t, so affine in J: integral at every J once integral at the
+    basis, and cN_{i-1} = 0, cP_i = twist_i on the face i in J once they hold at
+    its basis carriers.  c >= 0 is an inequality: min over J of c_i is
+    c_i(Z/f) + sum_b min(0, c_i(Z/f - {b}) - c_i(Z/f)), at Z/f less each b of a
+    negative term, where the audit raises its own message.  The audit reads no
+    unit pair, so families_transported is 2^f * #sides * (p^d-1)^2."""
     w = Weight(ctx.p, k)
-    families = 0
-    for J in embedding_subsets(ctx.f):
-        families += len(subspace_transport_audit(ctx, w, J).sides)
-    return {"outcome": "pass", "families_transported": families * (ctx.p**ctx.d - 1) ** 2}
+    full, *minus = basis_carriers(ctx.f)
+    reports, exponents = zip(*(transport_exponents(ctx, w, J) for J in (full, *minus)))
+    for c, *cb in zip(*exponents):  # one side's cN or cP at each basis carrier
+        for i, ci in enumerate(c):
+            drop = {b for b, x in enumerate(cb) if x[i] < ci}
+            if ci + sum(cb[b][i] - ci for b in drop) < 0:
+                subspace_transport_audit(ctx, w, full - drop)
+                raise AssertionError(f"twist exponents are not affine in J at {sorted(full - drop)}")
+    return {"outcome": "pass", "families_transported": 2**ctx.f * len(reports[0].sides) * (ctx.p**ctx.d - 1) ** 2}
 
 
 def suite_irr_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
@@ -621,11 +634,14 @@ def build_parser():
 def _parser_tree():
     """The root argparse parser, with one subparser per entry of OPTIONS."""
     import argparse
+    import re
 
     parser = argparse.ArgumentParser(prog="kisinweights", description="Exact weight-shift, matching and verification queries.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, options) in OPTIONS.items():
         sp = sub.add_parser(name, help=text)
+        # read a token led by "-" and a digit as a value, not an option: "--shard -1/2" reaches _parse_shard
+        sp._negative_number_matcher = re.compile(r"-\.?\d")
         for opt in options:
             kw = {} if opt.action == "store_true" else {"type": opt.convert, "metavar": opt.metavar, "choices": opt.choices}
             sp.add_argument(opt.flag, action=opt.action, required=opt.required, default=opt.default, help=opt.help, **kw)

@@ -456,37 +456,40 @@ def subspace_transport_audit(ctx: Context, w: Weight, J: Iterable[int]) -> Trans
     or cN_{i-1} = 0.  det g_i is a power of u.
     The recovered parameter x_i*u^(cP_i - twist_i) is x_i exactly when
     cP_i = twist_i.  No step reads a, b or the values of x, only which x_i
-    are nonzero.  So a side passes exactly when its support has dim
-    elements and, at each i in it, cN_{i-1} = 0 and cP_i = twist_i; the
-    transport is then injective and family_size = p^(d*dim).
+    are nonzero.  Every side's support Jside - J0 is J - J0, as
+    _side_carrier adds only 1-tails, which lie in J0, so it has dim
+    elements.  So a side passes exactly when, at each i in J - J0,
+    cN_{i-1} = 0 and cP_i = twist_i; the transport is then injective and
+    family_size = p^(d*dim).
     """
+    return transport_exponents(ctx, w, J)[0]
+
+
+def transport_exponents(ctx: Context, w: Weight, J: Iterable[int]) -> tuple[TransportAuditReport, tuple[tuple[int, ...], ...]]:
+    """subspace_transport_audit(ctx, w, J) and the twist exponents it decides
+    by: cN and cP of each side, in companion_sides order."""
     f, p = w.f, ctx.p
     fs = forward_sets(ctx, w, J)
-    J0 = set_J0(w)
     s, t = fs.st
-    dim = len(fs.J - J0)
-
-    def twist_exponents(src: Sequence[int], dst: Sequence[int], line: str) -> tuple[int, ...]:
-        c = integer_slopes(p, [x - y for x, y in zip(src, dst)])
-        if c is None or min(c) < 0:
-            raise ValueError(f"no map on the {line} line")
-        return c
-
-    for side, Jside, (ss, ts) in zip(fs.sides, fs.carriers, fs.splits):
-        name = side.name
+    support = sorted(fs.J - set_J0(w))
+    exponents: list[tuple[int, ...]] = []
+    for side, (ss, ts) in zip(fs.sides, fs.splits):
         twist = [1 if i in side.theta else 0 for i in range(f)]
-        support = sorted(Jside - J0)
-        if len(support) != dim:
-            raise AssertionError(f"side {name}: parameter support size differs")
         if any(x + g < 0 for seq in (ss, ts) for x, g in zip(seq, twist)):
             raise ValueError("extension exponents must be effective (twist first)")
-        cN, cP = twist_exponents(ss, s, "quotient"), twist_exponents(ts, t, "sub")
+        for line, ours, theirs in (("quotient", ss, s), ("sub", ts, t)):
+            c = integer_slopes(p, [x - y for x, y in zip(ours, theirs)])
+            if c is None or min(c) < 0:
+                raise ValueError(f"no map on the {line} line")
+            exponents.append(c)
+        cN, cP = exponents[-2:]
         for i in support:
             if cN[i - 1] != 0:
                 raise ValueError(f"obstructed at {i}: quotient twist exponent {cN[i - 1]} != 0")
             if cP[i] < twist[i]:
-                raise AssertionError(f"side {name}: parameter at {i} misses the twist factor")
+                raise AssertionError(f"side {side.name}: parameter at {i} misses the twist factor")
             if cP[i] > twist[i]:
-                raise AssertionError(f"side {name}: transported parameter is not constant")
+                raise AssertionError(f"side {side.name}: transported parameter is not constant")
 
-    return TransportAuditReport(dim, p ** (ctx.d * dim), tuple(side.name for side in fs.sides))
+    dim = len(support)
+    return TransportAuditReport(dim, p ** (ctx.d * dim), tuple(side.name for side in fs.sides)), tuple(exponents)

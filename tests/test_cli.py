@@ -262,6 +262,8 @@ PARSE_CORPUS = [
     ["shift", "--p=5", "--f", "2", "--k", "1,3"],
     ["enumerate", "--p", "3", "--f", "2", "--shard", "5/2"],
     ["shift", "--p", "-5", "--f", "2", "--k", "1,3"],
+    ["enumerate", "--p", "3", "--f", "2", "--shard", "-1/2"],
+    ["verify", "--suite", "transport", "--p", "3", "--f", "2", "--k", "-1,3"],
     ["match", "--p", "3", "--f", "2", "--k", "3,1", "--jprime", "0,1", "--jmu", "0:0", "--jmu", "0:1"],
 ]
 
@@ -403,7 +405,7 @@ def test_verify_cache(tmp_path, capsys):
     assert json.loads(o4)["cache"] == "miss"
 
 
-@pytest.mark.parametrize("shard", ["5/2", "0/1/2", "a/2", "3", "0/0"])
+@pytest.mark.parametrize("shard", ["5/2", "0/1/2", "a/2", "3", "0/0", "-1/2"])
 def test_enumerate_refuses_a_bad_shard(capsys, shard):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--p", "3", "--f", "2", "--shard", shard])
@@ -828,10 +830,11 @@ def test_verify_internal_value_error_is_a_fail(monkeypatch, capsys, target, argv
         (["--suite", "transport", "--p", "3", "--f", "2", "--k", "3,3"], "weight is regular (no k_i = 1)"),
         (["--suite", "irr-equiv", "--p", "5", "--f", "2", "--k", "2,1"], "forbidden (2,1) pattern at index 0"),
         (["--suite", "semisimple-equiv", "--p", "3", "--f", "2", "--k", "4,1"], "entries of k must lie in [1, 3]"),
+        (["--suite", "transport", "--p", "3", "--f", "2", "--k", "-1,3"], "entries of k must lie in [1, 3]"),
     ],
 )
 def test_verify_bad_weight_refused_before_the_audit(monkeypatch, capsys, argv, reason):
-    for name in ("semisimple_equivalence_audit", "subspace_transport_audit", "irr_equivalence_audit"):
+    for name in ("semisimple_equivalence_audit", "subspace_transport_audit", "transport_exponents", "irr_equivalence_audit"):
         monkeypatch.setattr(cli, name, broken)
     code, out = run(capsys, "verify", *argv)
     doc = json.loads(out)
