@@ -427,24 +427,21 @@ RECORD_FIELDS = frozenset({"suite", "params", "outcome", "detail"})
 
 
 @functools.lru_cache(maxsize=None)
-def _source_digest() -> str:
-    """sha256 of the package sources, computed on first use: the digest of the
-    ``sha256sum *.py`` listing of the package directory.  Any edit to a source
-    file changes it, and with it every cache key and fingerprint."""
+def _fingerprint() -> str:
+    """sha256 of the package sources and the interpreter version, computed on
+    first use: the digest of the ``sha256sum *.py`` listing of the package
+    directory.  Any edit to a source file or another interpreter changes it,
+    and with it every cache key."""
     here = os.path.dirname(os.path.abspath(__file__))
     listing = ""
     for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
         with open(os.path.join(here, name), "rb") as fh:
             listing += f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n"
-    return hashlib.sha256(listing.encode()).hexdigest()
-
-
-def _fingerprint() -> str:
-    return f"kisinweights sha256:{_source_digest()} / python {sys.version.split()[0]}"
+    return f"kisinweights sha256:{hashlib.sha256(listing.encode()).hexdigest()} / python {sys.version.split()[0]}"
 
 
 def _record_key(suite: str, params: dict) -> str:
-    payload = dumps({"suite": suite, "params": params, "source": _source_digest()})
+    payload = dumps({"suite": suite, "params": params, "fingerprint": _fingerprint()})
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -173,17 +173,12 @@ class FiniteField:
         self._neg = (self.zero,) + tuple(self._exp[k + minus_one] for k in logs)
         self._frob = (self.zero,) + tuple(self._exp[k * p % m] for k in logs)
 
-    def elem(self, value: Union[int, Sequence[int]]) -> "FieldElem":
-        """Build an element from base-p digits of an int, or a coefficient vector."""
-        if isinstance(value, int):
-            if abs(value) >= self.order:
-                raise ValueError(f"{value} out of range for GF({self.p}^{self.d})")
-            el = self._elems[abs(value)]
-            return -el if value < 0 else el
-        coeffs = [c % self.p for c in value]
-        if len(coeffs) != self.d:
-            raise ValueError(f"need {self.d} coefficients, got {len(coeffs)}")
-        return self._elems[sum(c * self.p**i for i, c in enumerate(coeffs))]
+    def elem(self, n: int) -> "FieldElem":
+        """The element whose base-p digits are those of n; -n gives its negative."""
+        if abs(n) >= self.order:
+            raise ValueError(f"{n} out of range for GF({self.p}^{self.d})")
+        el = self._elems[abs(n)]
+        return -el if n < 0 else el
 
     def elements(self) -> Iterator["FieldElem"]:
         return iter(self._elems)

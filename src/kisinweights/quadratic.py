@@ -24,7 +24,7 @@ import itertools
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .matching import DichotomyError, _disagreements, _side_carrier
-from .rankone import decompose_cyclic, frobenius_stable, weighted_sum
+from .rankone import EmbeddingSet, decompose_cyclic, embedding_set, frobenius_stable, weighted_sum
 from .weights import (
     HTWeightTable,
     Weight,
@@ -38,20 +38,13 @@ from .weights import (
     validate_irregular,
 )
 
-QuadSet = frozenset
-
-
-def quad_set(f: int, elems: Iterable[int]) -> QuadSet:
-    return frozenset(q % (2 * f) for q in elems)
-
-
 def is_balanced(f: int, J: Iterable[int]) -> bool:
     """Whether J contains exactly one of {i, i+f} for every i in Z/f."""
-    Jset = quad_set(f, J)
+    Jset = embedding_set(2 * f, J)
     return all(((i in Jset) + ((i + f) in Jset)) == 1 for i in range(f))
 
 
-def balanced_sets(f: int) -> Iterable[QuadSet]:
+def balanced_sets(f: int) -> Iterable[EmbeddingSet]:
     """All 2^f balanced subsets of Z/2f."""
     for picks in itertools.product((0, 1), repeat=f):
         yield frozenset(i + f * b for i, b in zip(range(f), picks))
@@ -66,7 +59,7 @@ def _exponents(table: HTWeightTable, J: Iterable[int]) -> tuple[int, int]:
     """
     p, f = table.p, table.f
     mod = p ** (2 * f) - 1
-    s, t = st_sequences(HTWeightTable(p, table.rows * 2), quad_set(f, J))
+    s, t = st_sequences(HTWeightTable(p, table.rows * 2), embedding_set(2 * f, J))
     return weighted_sum(p, s) % mod, weighted_sum(p, t) % mod
 
 
@@ -91,7 +84,7 @@ def conjugate_symmetric(table: HTWeightTable, J: Iterable[int]) -> bool:
     return (e_s - e_t * p**f) % (p ** (2 * f) - 1) == 0
 
 
-def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
+def rebalance(table: HTWeightTable, J: Iterable[int]) -> EmbeddingSet:
     """Turn a conjugate-symmetric carrier into a balanced one, same pair.
 
     Strips the indices whose two table entries coincide, cancels the
@@ -103,7 +96,7 @@ def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
     no balanced carrier induces the same pair.
     """
     p, f = table.p, table.f
-    Jset = quad_set(f, J)
+    Jset = embedding_set(2 * f, J)
     if not conjugate_symmetric(table, Jset):
         raise ValueError("carrier characters are not a conjugate pair")
     if is_balanced(f, Jset):
@@ -142,9 +135,9 @@ def rebalance(table: HTWeightTable, J: Iterable[int]) -> QuadSet:
 class ForwardWitnesses(NamedTuple):
     """Balanced carriers realizing each regular companion weight."""
 
-    base: QuadSet
-    mus: Mapping[int, QuadSet]
-    theta: QuadSet
+    base: EmbeddingSet
+    mus: Mapping[int, EmbeddingSet]
+    theta: EmbeddingSet
 
 
 def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
@@ -155,7 +148,7 @@ def irr_forward(w: Weight, J: Iterable[int]) -> ForwardWitnesses:
     rewriting is the identity.
     """
     f = w.f
-    Jset = quad_set(f, J)
+    Jset = embedding_set(2 * f, J)
     if not is_balanced(f, Jset):
         raise ValueError("carrier must be balanced")
     if is_regular(w):
@@ -187,19 +180,19 @@ def irr_backward(
     Jprime: Iterable[int],
     mus: Optional[Mapping[int, Iterable[int]]] = None,
     theta: Optional[Iterable[int]] = None,
-) -> QuadSet:
+) -> EmbeddingSet:
     """Reconstruct a balanced carrier for the irregular weight.
 
     Takes the base companion's carrier plus either the per-marked-index
     carriers or the fully marked one.  The block dichotomy is the forward
     rule compared: the base carrier must be its own irr_forward base
-    carrier.  Verifies the pairwise character congruences mod p^{2f}-1,
-    then returns a carrier for w agreeing with the base carrier away from
-    the k=1 indices.
+    carrier, so irr_forward has checked that it induces the base pair on
+    the table of w.  Verifies the pairwise character congruences mod
+    p^{2f}-1 and returns the base carrier, a carrier for w.
     """
     validate_irregular(w)
     f = w.f
-    Jp = quad_set(f, Jprime)
+    Jp = embedding_set(2 * f, Jprime)
     if not is_balanced(f, Jp):
         raise ValueError("base carrier must be balanced")
     if (mus is None) == (theta is None):
@@ -216,14 +209,11 @@ def irr_backward(
     else:
         companions = [(full, theta)]
     for side, Jc in companions:
-        Jc = quad_set(f, Jc)
+        Jc = embedding_set(2 * f, Jc)
         if not is_balanced(f, Jc):
             raise ValueError("companion carriers must be balanced")
         if induced_pair(side.table, Jc) != base_pair:
             raise ValueError("companion carrier induces a different character pair")
-
-    if induced_pair(ht_table(w), Jp) != base_pair:
-        raise AssertionError("reconstructed carrier changed the character pair")
     return Jp
 
 

@@ -13,7 +13,7 @@ from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.cli import JSON_INT_LIMIT
 from kisinweights.field import Context, FieldElem, UPoly
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
-from kisinweights.quadratic import _exponents, balanced_sets, quad_set
+from kisinweights.quadratic import _exponents, balanced_sets
 from kisinweights.rankone import (
     CyclicDecomposition,
     CyclicString,
@@ -458,7 +458,7 @@ def char_exponent_by_powers(table: HTWeightTable, J) -> int:
     """Exponent mod p^{2f}-1 of the character of J: index q carries the first
     entry of row q mod f on J and the second off it, weighted by p^{2f-1-q}."""
     p, f = table.p, table.f
-    Jset = quad_set(f, J)
+    Jset = embedding_set(2 * f, J)
     total = 0
     for q in range(2 * f):
         b1, b2 = table.rows[q % f]
@@ -473,7 +473,7 @@ def complement_exponent(table: HTWeightTable, J) -> int:
 
 def complement_exponent_by_powers(table: HTWeightTable, J) -> int:
     """Exponent of the opposite character: the character of the complement of J."""
-    return char_exponent_by_powers(table, frozenset(range(2 * table.f)) - quad_set(table.f, J))
+    return char_exponent_by_powers(table, frozenset(range(2 * table.f)) - embedding_set(2 * table.f, J))
 
 
 def achievable_by_balanced_sets(table: HTWeightTable) -> frozenset[int]:

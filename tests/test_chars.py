@@ -91,3 +91,22 @@ def test_semisimple_shape_unordered():
     assert hash(SemisimpleShape(a, b)) == hash(SemisimpleShape(b, a))
     with pytest.raises(ValueError):
         SemisimpleShape(a, InertialChar(3, 2, 2, 5))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: InertialChar(3, 2, 3, 0), "niveau must be 1 or 2, got 3"),
+        (
+            lambda: SemisimpleShape(InertialChar(3, 2, 2, 1), InertialChar(3, 2, 1, 1)),
+            "semisimple shape takes niveau-1 characters",
+        ),
+        (lambda: extend_to_quadratic(InertialChar(3, 2, 2, 1)), "can only extend a niveau-1 character"),
+        (lambda: is_irreducible_pair(InertialChar(3, 2, 1, 1)), "irreducibility test applies to niveau-2 characters"),
+    ],
+    ids=["niveau", "shape-niveau", "extend-niveau", "irreducible-niveau"],
+)
+def test_chars_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

@@ -29,7 +29,8 @@ from kisinweights.cli import (
     main,
 )
 from kisinweights.field import Context
-from kisinweights.matching import forward_sets
+from kisinweights.matching import EquivalenceReport, ExceptionalReport, forward_sets
+from kisinweights.quadratic import IrrEquivalenceReport
 from kisinweights.rankone import embedding_subsets
 from kisinweights.weights import Weight, validate_irregular
 from oracles import congruence_doc, decode_int
@@ -134,10 +135,11 @@ def test_only_verify_takes_a_degree(capsys, argv):
         (["--jprime", "0", "--jmu", "1:0", "--jmu", "1:2"], "--jmu gives marked index 1 twice"),
         (["--j", "0", "--jtheta", "1"], "--jtheta and --jmu belong to the backward direction, not --j"),
         (["--j", "0", "--jmu", "1:0"], "--jtheta and --jmu belong to the backward direction, not --j"),
+        (["--jprime", "0", "--jtheta", "1", "--jmu", "0:0"], "give either --jmu entries or --jtheta, not both"),
     ],
     ids=[
         "j", "j-negative", "jprime", "jtheta", "jmu-index", "jmu-key", "jmu-repeated",
-        "j-with-jtheta", "j-with-jmu",
+        "j-with-jtheta", "j-with-jmu", "jprime-with-jtheta-and-jmu",
     ],
 )
 def test_match_refuses_out_of_range_indices(capsys, argv, reason):
@@ -685,12 +687,28 @@ def test_verify_force_compares_the_fingerprint(tmp_path, capsys):
     assert json.loads(out)["cache"] == "recomputed-mismatch"
 
 
+def test_verify_cache_slot_of_another_interpreter_is_a_miss(monkeypatch, tmp_path, capsys):
+    # the fingerprint names the interpreter, and it keys the slot: a record
+    # another interpreter cached is never served here
+    ours = cli._fingerprint()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_fingerprint", lambda: ours.rsplit(" ", 1)[0] + " 0.0")
+        slot = cache_slot(tmp_path, capsys, LEMMA71)
+    assert json.loads(slot.read_text())["fingerprint"].endswith("/ python 0.0")
+    code, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    doc = json.loads(out)
+    assert code == EXIT_OK and (doc["cache"], doc["fingerprint"]) == ("miss", ours)
+    _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path), "--force")
+    assert json.loads(out)["cache"] == "recomputed-match"
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_verify_miss_dumps_the_record_once(monkeypatch, tmp_path, capsys):
     # one walk writes the cache file and one the stdout document; the cache key's payload is apart
     docs = []
     monkeypatch.setattr(cli, "dumps", lambda doc: docs.append(doc) or dumps(doc))
     _, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
-    walks = [type(doc).__name__ for doc in docs if not (isinstance(doc, dict) and "source" in doc)]
+    walks = [type(doc).__name__ for doc in docs if not (isinstance(doc, dict) and doc.keys() == {"suite", "params", "fingerprint"})]
     assert walks == ["dict", "dict"]
     doc = json.loads(out)
     assert doc.pop("cache") == "miss"
@@ -728,6 +746,61 @@ def test_verify_audit_assertion_is_a_fail(monkeypatch, capsys):
     doc = json.loads(out)
     assert code == EXIT_FAIL and doc["outcome"] == "fail"
     assert doc["detail"] == {"reason": "companion congruence failed"}
+
+
+def failing_record(capsys, suite, k=None):
+    """Run verify at p = 5, f = 3 (and k), check that its document is a fail
+    with exit 1 and return the counterexample it names."""
+    code, out = run(capsys, "verify", "--suite", suite, "--p", "5", "--f", "3", *(["--k", ",".join(map(str, k))] if k else []))
+    doc = json.loads(out)
+    assert doc.pop("wall_time_ms") >= 0 and doc.pop("fingerprint") == cli._fingerprint()
+    counterexample = doc["detail"].pop("counterexample")
+    assert code == EXIT_FAIL
+    assert doc == {
+        "suite": suite,
+        "params": {"p": 5, "f": 3, "d": 1, "k": k},
+        "outcome": "fail",
+        "detail": {},
+        "cache": "off",
+    }
+    return counterexample
+
+
+def fail_on_call(n, failing, passing):
+    """An audit stand-in that reports failing at its n-th call and passing
+    before; ``seen`` lists the weights it was called with."""
+    seen = []
+
+    def audit(*args):
+        seen.append(list(args[-1].k))
+        return failing if len(seen) == n else passing
+
+    return audit, seen
+
+
+def test_verify_exceptional_failure_names_the_class_representative(monkeypatch, capsys):
+    failing = ExceptionalReport((frozenset({2, 0}),), (("base", frozenset({1})),), (("theta", frozenset()),))
+    audit, seen = fail_on_call(2, failing, ExceptionalReport((), (), ()))
+    monkeypatch.setattr(cli, "exceptional_audit", audit)
+    counterexample = failing_record(capsys, "exceptional")
+    assert len(seen) == 2
+    assert counterexample == {"k": seen[1], "irregular_hits": [[0, 2]], "constrained_hits": [["base", [1]]]}
+
+
+def test_verify_semisimple_failure_names_the_first_five_pairs(monkeypatch, capsys):
+    bad = tuple((e, 2 * e, True, False, e % 2 == 0) for e in range(1, 7))
+    monkeypatch.setattr(cli, "semisimple_equivalence_audit", lambda ctx, w: EquivalenceReport(36, 30, bad))
+    counterexample = failing_record(capsys, "semisimple-equiv", [1, 3, 4])
+    assert counterexample == [[e, 2 * e, True, False, e % 2 == 0] for e in range(1, 6)]
+
+
+def test_verify_irr_failure_names_the_weight_and_five_exponents(monkeypatch, capsys):
+    failing, passing = (IrrEquivalenceReport(5, 3, (), 10, bad) for bad in (tuple(range(7)), ()))
+    audit, seen = fail_on_call(3, failing, passing)
+    monkeypatch.setattr(cli, "irr_equivalence_audit", audit)
+    counterexample = failing_record(capsys, "irr-equiv")
+    assert len(seen) == 3
+    assert counterexample == {"k": seen[2], "exponents": [0, 1, 2, 3, 4]}
 
 
 def test_match_audit_assertion_is_a_fail(monkeypatch, capsys):

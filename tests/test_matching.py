@@ -410,3 +410,11 @@ def test_side_constraint_matches_per_side_rules():
                 assert side.name == name
                 for J in subsets(f):
                     assert _side_constraint(bd, side.theta, J) == constraint(J), (w.k, name, J)
+
+
+@pytest.mark.parametrize("Jmu", [{1: {0}}, {2: {0}, 1: {1}}, {}], ids=["other-key", "extra-key", "no-key"])
+def test_backward_from_mus_refuses_the_wrong_marked_keys(Jmu):
+    # the one marked index of (1, 3, 4) is 2
+    with pytest.raises(ValueError) as err:
+        backward_from_mus(Context(7, 3), Weight(7, (1, 3, 4)), {0}, Jmu)
+    assert type(err.value) is ValueError and str(err.value) == "need one marked carrier set per marked index"

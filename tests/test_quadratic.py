@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import oracles
+from kisinweights import quadratic
 from kisinweights.field import Context
 from kisinweights.matching import DichotomyError, achievable_pairs
 from kisinweights.quadratic import (
@@ -19,7 +20,9 @@ from kisinweights.quadratic import (
     is_balanced,
     rebalance,
 )
+from kisinweights.rankone import CyclicDecomposition, CyclicString
 from kisinweights.weights import (
+    HTWeightTable,
     Weight,
     blocks,
     bmu_table,
@@ -112,6 +115,24 @@ def test_rebalance_rejects_asymmetric():
     table = ht_table(Weight(3, (3, 1)))
     with pytest.raises(ValueError):
         rebalance(table, set())  # e_s = 0, e_t = 60: not a conjugate pair
+
+
+@pytest.mark.parametrize(
+    "strings,message",
+    [
+        ((), "rebalancing did not produce a balanced carrier"),
+        ((CyclicString("signed", 1, 0, 2),), "rebalancing changed the induced character pair"),
+    ],
+    ids=["unbalanced", "other-pair"],
+)
+def test_rebalance_checks_the_decomposition_it_reads(monkeypatch, strings, message):
+    # decompose_cyclic does not recompose its result; rebalance checks the
+    # carrier it flips by the strings, so a wrong decomposition raises here
+    table = HTWeightTable(3, ((3, 0), (1, 0)))
+    assert rebalance(table, {0, 2}) == {0, 1}
+    monkeypatch.setattr(quadratic, "decompose_cyclic", lambda p, x: CyclicDecomposition(p, len(x), None, strings))
+    with pytest.raises(AssertionError, match=message):
+        rebalance(table, {0, 2})
 
 
 def test_frobenius_stable_configuration_refused():
@@ -210,11 +231,11 @@ def test_irr_backward_dichotomy_matches_restated_rule(p, f):
 def test_irr_backward_congruence_check():
     w = Weight(3, (3, 1))
     fw = irr_forward(w, {0, 1})
-    # companion carrier from a different character pair is rejected
-    other = irr_forward(w, {2, 1}).theta
-    if induced_pair(btheta_table(w), other) != induced_pair(bprime_table(w), fw.base):
-        with pytest.raises(ValueError):
-            irr_backward(w, fw.base, theta=other)
+    # a balanced companion carrier of another character pair is rejected
+    other = frozenset({0, 1})
+    assert induced_pair(btheta_table(w), other) != induced_pair(bprime_table(w), fw.base)
+    with pytest.raises(ValueError, match="companion carrier induces a different character pair"):
+        irr_backward(w, fw.base, theta=other)
 
 
 def test_equivalence_audit():
@@ -256,3 +277,25 @@ def test_existence_invariant_under_conjugation():
         conj = (e * 9) % mod
         hit_conj = conj in A or (conj * 9) % mod in A
         assert hit == hit_conj
+
+
+W31 = Weight(3, (3, 1))  # balanced carriers of Z/4; index 0 is marked
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: irr_forward(W31, {0}), "carrier must be balanced"),
+        (lambda: irr_backward(W31, {0}, theta={0, 3}), "base carrier must be balanced"),
+        (lambda: irr_backward(W31, {0, 1}, mus={0: {0, 3}}, theta={0, 3}), "provide exactly one of mus or theta"),
+        (lambda: irr_backward(W31, {0, 1}), "provide exactly one of mus or theta"),
+        (lambda: irr_backward(W31, {0, 1}, mus={1: {0, 3}}), "need one carrier per marked index"),
+        (lambda: irr_backward(W31, {0, 1}, theta={0}), "companion carriers must be balanced"),
+    ],
+    ids=["forward-unbalanced", "backward-unbalanced-base", "backward-both", "backward-neither",
+         "backward-marked-keys", "backward-unbalanced-companion"],
+)
+def test_quadratic_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

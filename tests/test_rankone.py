@@ -323,3 +323,17 @@ def test_exceptional_case():
     assert not exceptional_case(ext2)  # scalars differ
     ext3 = ExtensionType(3, (3, 0, 1), ONE, ONE, frozenset({0, 1, 2}))
     assert not exceptional_case(ext3)  # carrier violates the pattern conditions
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: RankOneKisin(3, (), make_field(3, 1).one), "need at least one exponent"),
+        (lambda: RankOneKisin(3, (1, 2), make_field(3, 1).zero), "scalar must be a unit"),
+    ],
+    ids=["no-exponent", "zero-scalar"],
+)
+def test_rankone_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

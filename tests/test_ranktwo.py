@@ -214,3 +214,41 @@ def morphism_cases(draw):
 def test_check_phi_morphism_matches_product_form(case):
     g, src, dst = case
     assert check_phi_morphism(g, src, dst) == _reference_check(g, src, dst)
+
+
+N20 = RankOneKisin(3, (2, 0), ONE)
+P02 = RankOneKisin(3, (0, 2), ONE)
+M20 = PhiExtension(N20, P02, const_vec([ONE, None]))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: PhiExtension(RankOneKisin(5, (2, 0), make_field(5, 1).one), P02, const_vec([None, None])),
+            "quotient and sub over different rings",
+        ),
+        (lambda: check_phi_morphism(PhiMorphism.diagonal(F3, (0,), (0,)), M20, M20), "size mismatch"),
+        (lambda: build_extension(ExtensionType(3, (2, 2), ONE, ONE, {0}), const_vec([ONE])), "need one parameter per index"),
+        # r = 0: no parameter unless the type is exceptional (a = b), then one constant one
+        (
+            lambda: build_extension(ExtensionType(3, (0, 0), ONE, TWO, ()), const_vec([ONE, None])),
+            "parameter at 0 must vanish (split type)",
+        ),
+        (
+            lambda: build_extension(ExtensionType(3, (0, 0), ONE, ONE, ()), (UPoly.zero(F3), UPoly.monomial(ONE, 1))),
+            "parameter at 1 must be constant",
+        ),
+        (
+            lambda: build_extension(ExtensionType(3, (0, 0), ONE, ONE, ()), const_vec([ONE, TWO])),
+            "at most one exceptional parameter slot is allowed",
+        ),
+        (lambda: transport_forward(M20, N20, RankOneKisin(3, (0, 2), TWO)), "no map on the sub line"),
+    ],
+    ids=["different-rings", "morphism-size", "parameter-count", "split-type", "not-constant", "two-slots",
+         "no-sub-map"],
+)
+def test_ranktwo_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

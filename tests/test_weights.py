@@ -233,3 +233,19 @@ def test_bmu_table_refuses_unmarked_index():
     assert bmu_table(w, 5) == bmu_table(w, 1)  # indices are taken mod f
     with pytest.raises(ValueError, match="not marked"):
         bmu_table(w, 0)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Weight(5, (1, 3), (0,)), "k and l must have equal length"),
+        (lambda: weight_kmu(Weight(7, (1, 3, 4)), 1), "index 1 is not marked"),
+        (lambda: blocks(Weight(5, (1, 1))), "block decomposition needs both 1 and non-1 entries"),
+        (lambda: blocks(Weight(5, (2, 3))), "block decomposition needs both 1 and non-1 entries"),
+    ],
+    ids=["twist-length", "kmu-unmarked", "blocks-all-one", "blocks-one-free"],
+)
+def test_weights_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
