@@ -144,11 +144,18 @@ def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
+def _ints(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(int(part) for part in text.split(",")) if text else ()
+
+
+def _csv_ints(text: str) -> tuple[int, ...]:
+    try:
+        return _ints(text)
+    except ValueError:
+        import argparse  # only a refusal needs it
+
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 1,3, got {text.strip()!r}") from None
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -215,10 +222,14 @@ def cmd_match(args: SimpleNamespace) -> int:
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k}
     mus = {}
     for item in args.jmu:
-        mu_text, _, idxs = item.partition(":")
-        if int(mu_text) in mus:
-            raise ValueError(f"--jmu gives marked index {int(mu_text)} twice")
-        mus[int(mu_text)] = _csv_ints(idxs)
+        mu_text, _, idxs_text = item.partition(":")
+        try:
+            mu, idxs = int(mu_text), _ints(idxs_text)
+        except ValueError:
+            raise ValueError(f"--jmu must be MU:IDXS, e.g. 0:0,1, got {item!r}") from None
+        if mu in mus:
+            raise ValueError(f"--jmu gives marked index {mu} twice")
+        mus[mu] = idxs
     jmu = [*mus, *itertools.chain.from_iterable(mus.values())]
     for flag, idxs in (("--j", args.j), ("--jprime", args.jprime), ("--jtheta", args.jtheta), ("--jmu", jmu)):
         bad = [i for i in idxs or () if not 0 <= i < ctx.f]
@@ -347,16 +358,26 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     letters k_i for k_i <= 3 or k_i >= p-1 and 4 for the rest.  Every gap
     k_i, k_i - 1 or k_i - 2 of a 4 lies outside {0, 1, p-1, p}, all that
     in_Pprime and the need and avoid sets read, so a word's weights share the
-    report, counted by multiplicity.  A failure names a representative: a
-    valid weight, maybe not the first failing one of a per-weight scan."""
+    report, counted by multiplicity.  The walk takes only the letter pairs
+    (k_i, k_{i+1}) at which some table has such an entry: a word with a dead
+    index has no hit (exceptional_audit's lemma), so at p > 3 ``weights``
+    counts the type words' multiplicities.  A failure names a representative:
+    a valid weight, maybe not the first failing one of a per-weight scan."""
+    p = ctx.p
+    classify = lambda x: x if x <= 3 or x >= p - 1 else 4
+    letters, admissible = set(map(classify, range(1, p + 1))), {0, 1, p - 1, p}
+    # the entries at i: k_i - 1 in every table, and k_i - 2 or k_i in a side when k_{i+1} = 1
+    live = {(a, b) for a in letters for b in letters if a - 1 in admissible or b == 1 and {a - 2, a} & admissible}
     checked = unconstrained = 0
-    for w, n in weight_classes(ctx.p, ctx.f, lambda x: x if x <= 3 or x >= ctx.p - 1 else 4):
+    for w, n in weight_classes(p, ctx.f, classify, live - {(2, 1)}):
         report = exceptional_audit(ctx, w)
         checked += n
         unconstrained += n * len(report.unconstrained_hits)
         if not report.ok:
             hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
             return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
+    if p > 3:  # no index is dead at p = 3, so the walk met every word
+        checked = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
     return {"outcome": "pass", "weights": checked, "unconstrained_hits": unconstrained}
 
 
@@ -563,14 +584,16 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
                     forward_sets(ctx, w, J)  # proves the congruences of every J of the word
                 prefixes[word] = {}
             cache = prefixes[word] if ctx.p > 3 and 3 in word else {}
-            tail = f'"k": {json.dumps(list(w.k))}, "unit": '
+            tail = f'"k": {list(w.k)}, "unit": '
             for unit in units:
                 if (mask := unit - first) not in cache:
                     Jprime, *Jmus, Jtheta = companion_carriers(w, subsets[mask])  # marked: mu ascending
-                    # the jsonable form less "k" and "unit", which sort last; every int here is small
-                    Jmu = {str(mu): sorted(Jmu) for mu, Jmu in zip(sorted(blk.nu for blk in blocks(w)), Jmus)}
-                    record = {"J": sorted(subsets[mask]), "Jprime": sorted(Jprime), "Jtheta": sorted(Jtheta), "Jmu": Jmu}
-                    cache[mask] = json.dumps(record, sort_keys=True)[:-1] + ", "
+                    # json.dumps(jsonable(record), sort_keys=True) less "k" and "unit", which sort last:
+                    # str() of a list of small ints is its JSON, and the Jmu keys sort as strings
+                    Jmu = sorted((str(mu), sorted(Jmu)) for mu, Jmu in zip(sorted(blk.nu for blk in blocks(w)), Jmus))
+                    Jmu_text = ", ".join(f'"{mu}": {idxs}' for mu, idxs in Jmu)
+                    cache[mask] = (f'{{"J": {sorted(subsets[mask])}, "Jmu": {{{Jmu_text}}}, '
+                                   f'"Jprime": {sorted(Jprime)}, "Jtheta": {sorted(Jtheta)}, ')
                 yield f"{cache[mask]}{tail}{unit}}}\n"
 
     _write_lines(lines(), args.out)

@@ -408,6 +408,13 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
 
     Under the per-block constraints no companion may be exceptional; dropping
     the constraints can produce hits, which are reported separately.
+
+    The dead-index lemma: an i with k_i, k_{i+1} != 1 is in neither J0 nor
+    Mtilde, so every table has entry k_i - 1 there; at a marked nu (k_{nu+1} =
+    1, so k_nu >= 3) they are k_nu - 1 (irregular), k_nu - 2 (theta misses nu)
+    and k_nu (theta holds nu).  When none is in {0, 1, p-1, p} (4 <= k_i <=
+    p-2, or k_i in {3, p-1} and k_{i+1} != 1; never at p = 3), i is dead: no
+    table is in Pprime, and w has no irregular, constrained or unconstrained hit.
     """
     _validate(ctx, w)
     irregular_hits = _exceptional_carriers(ctx.p, tuple(ki - 1 for ki in w.k))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .rankone import EmbeddingSet, weighted_sum
 
@@ -80,12 +80,15 @@ def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Op
     return None
 
 
-def weight_classes(p: int, f: int, classify: Callable[[int], int]) -> Iterator[tuple[Weight, int]]:
+def weight_classes(p: int, f: int, classify: Callable[[int], int],
+                   pairs: Optional[Collection[tuple[int, int]]] = None) -> Iterator[tuple[Weight, int]]:
     """(representative, multiplicity) of each valid class word at (p, f), in
     ascending order: the word of k is classify(k_i) per index, and its
     representative takes each letter's least value.  classify must keep 1 and
     2 as letters of their own, which is all irregular_refusal reads.  Words
-    grow depth first, no 1 after a 2, and irregular_refusal decides each.
+    grow depth first, each letter followed only by one it pairs with in pairs
+    (by least values; default: every pair but (2, 1), all the rule allows),
+    and the wrap-around pair and irregular_refusal decide each full word.
 
     The lemma: J0, M, Mtilde, blocks and validity read only the type word
     tau(k)_i = min(k_i, 3), and a companion_sides row minus the irregular row
@@ -94,13 +97,17 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int]) -> Iterator[t
     ss - s, ts - t and the congruences depend only on (p, tau(k), J)."""
     least = {classify(x): x for x in range(p, 0, -1)}
     size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
+    letters = list(size)  # 1 first
+    if pairs is None:
+        after = {a: letters[1:] if a == 2 else letters for a in letters}
+    else:
+        after = {a: [b for b in letters if (a, b) in pairs] for a in letters}
 
     def walk(k: tuple[int, ...]) -> Iterator[tuple[Weight, int]]:
         if len(k) < f:
-            for x in size:
-                if x != 1 or k[-1:] != (2,):
-                    yield from walk(k + (x,))
-        elif irregular_refusal(p, k) is None:
+            for x in after[k[-1]] if k else letters:
+                yield from walk(k + (x,))
+        elif (pairs is None or (k[-1], k[0]) in pairs) and irregular_refusal(p, k) is None:
             yield Weight(p, k), math.prod(map(size.__getitem__, k))
 
     return walk(())

@@ -136,10 +136,12 @@ def test_only_verify_takes_a_degree(capsys, argv):
         (["--j", "0", "--jtheta", "1"], "--jtheta and --jmu belong to the backward direction, not --j"),
         (["--j", "0", "--jmu", "1:0"], "--jtheta and --jmu belong to the backward direction, not --j"),
         (["--jprime", "0", "--jtheta", "1", "--jmu", "0:0"], "give either --jmu entries or --jtheta, not both"),
+        (["--jprime", "0", "--jmu", "2:x"], "--jmu must be MU:IDXS, e.g. 0:0,1, got '2:x'"),
+        (["--jprime", "0", "--jmu", "x:1"], "--jmu must be MU:IDXS, e.g. 0:0,1, got 'x:1'"),
     ],
     ids=[
         "j", "j-negative", "jprime", "jtheta", "jmu-index", "jmu-key", "jmu-repeated",
-        "j-with-jtheta", "j-with-jmu", "jprime-with-jtheta-and-jmu",
+        "j-with-jtheta", "j-with-jmu", "jprime-with-jtheta-and-jmu", "jmu-index-not-int", "jmu-key-not-int",
     ],
 )
 def test_match_refuses_out_of_range_indices(capsys, argv, reason):
@@ -419,6 +421,25 @@ def test_enumerate_refuses_a_bad_shard(capsys, shard):
     assert err.endswith("error: argument --shard: shard must be i/n with 0 <= i < n\n")
 
 
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["verify", "--suite", "lemma71", "--p", "3", "--f", "2", "--k", ","], ","),
+        (["verify", "--suite", "irr-equiv", "--p", "3", "--f", "3", "--k", "1,,3"], "1,,3"),
+        (["shift", "--p", "5", "--f", "2", "--k", "1,x"], "1,x"),
+    ],
+    ids=["lone-comma", "empty-entry", "not-an-int"],
+)
+def test_a_bad_int_list_is_refused_with_its_form(capsys, argv, value):
+    # the message names the expected form, not the converter function
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith(f"usage: kisinweights {argv[0]}")
+    assert err.endswith(f"error: argument --k: expected comma-separated integers, e.g. 1,3, got {value!r}\n")
+
+
 def test_enumerate_sharding(capsys):
     _, full = run(capsys, "enumerate", "--p", "3", "--f", "2")
     full_lines = full.strip().splitlines()
@@ -465,6 +486,30 @@ def test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard):
     code, out = run(capsys, *argv)
     expected = [line for unit, line in enumerate(per_unit_lines(p, f)) if not shard or unit % shard[1] == shard[0]]
     assert code == EXIT_OK and out == "".join(expected)
+
+
+@pytest.mark.parametrize("shard", [None, (1, 3)])
+@pytest.mark.parametrize("p,f", [(7, 4), (3, 5)])
+def test_enumerate_lines_at_more_sizes(capsys, p, f, shard):
+    test_enumerate_lines_are_the_jsonable_records(capsys, p, f, shard)
+
+
+def test_enumerate_sorts_jmu_keys_as_strings(capsys):
+    # json.dumps(sort_keys=True) puts "10" before "2": a sparse p3 f11 shard
+    # holds the weight marked at 2 and 10 (unit 2584 * 2^11 + 5) among 16 lines
+    p, f, shard_n = 3, 11, 5_000_000
+    code, out = run(capsys, "enumerate", "--p", str(p), "--f", str(f), "--shard", f"292037/{shard_n}")
+    lines = out.splitlines(keepends=True)
+    weights = oracles.valid_weights(p, f)
+    ctx, subsets = Context(p, f), embedding_subsets(f)
+    expected = []
+    for unit in range(292037, len(weights) * 2**f, shard_n):
+        w, J = weights[unit >> f], subsets[unit % 2**f]
+        fs = forward_sets(ctx, w, J)
+        record = {"unit": unit, "k": w.k, "J": J, "Jprime": fs.Jprime, "Jtheta": fs.Jtheta, "Jmu": dict(fs.Jmu)}
+        expected.append(json.dumps(jsonable(record), sort_keys=True) + "\n")
+    assert code == EXIT_OK and lines == expected and len(lines) == 16
+    assert '"k": [1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 3]' in lines[1] and '"Jmu": {"10": ' in lines[1]
 
 
 def test_enumerate_into_a_closed_pipe_ends_quietly():

@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from kisinweights import cli
+from kisinweights import cli, matching
 from kisinweights.cli import _type_letter, _value_letter
 from kisinweights.field import Context
 from kisinweights.matching import companion_carriers, exceptional_audit, forward_sets
 from kisinweights.rankone import embedding_subsets
-from kisinweights.weights import Weight, irregular_refusal, weight_classes
+from kisinweights.weights import HTWeightTable, Weight, irregular_refusal, weight_classes
 from oracles import valid_weights
 
 LEMMA_SIZES = [(5, 3), (5, 4), (7, 3), (7, 4)]
@@ -92,11 +92,72 @@ def test_an_exceptional_class_word_fixes_the_report(p, f):
         assert exceptional_audit(ctx, w) == reports[rep], w.k
 
 
-@pytest.mark.parametrize("p,f", [(7, 3), (7, 4), (11, 3)])
+def scan_exceptional(ctx):
+    """suite_exceptional's record from exceptional_audit of every valid weight, in order."""
+    weights, hits = valid_weights(ctx.p, ctx.f), 0
+    for w in weights:
+        report = exceptional_audit(ctx, w)
+        if not report.ok:
+            found = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
+            return {"outcome": "fail", "counterexample": {"k": w.k, **found}}
+        hits += len(report.unconstrained_hits)
+    return {"outcome": "pass", "weights": len(weights), "unconstrained_hits": hits}
+
+
+EXCEPTIONAL_SIZES = [(5, 3), (5, 4), (5, 5), (7, 3), (7, 4), (11, 3)]
+
+
+@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES)
 def test_exceptional_counts_every_weight_of_a_class(p, f):
-    # at p >= 7 a class holds several weights; the per-weight scan is the reference
+    # a class holds several weights at p >= 7, and a word with a dead index is
+    # not audited at p >= 5; the per-weight scan is the reference
     ctx = Context(p, f)
-    reports = [exceptional_audit(ctx, w) for w in valid_weights(p, f)]
-    assert all(report.ok for report in reports)
-    hits = sum(len(report.unconstrained_hits) for report in reports)
-    assert cli.suite_exceptional(ctx, None) == {"outcome": "pass", "weights": len(reports), "unconstrained_hits": hits}
+    assert cli.suite_exceptional(ctx, None) == scan_exceptional(ctx)
+
+
+def dead(p, a, b):
+    """The lemma of matching.exceptional_audit: no table admits index i with k_i = a, k_{i+1} = b."""
+    return p > 3 and (4 <= a <= p - 2 or a in (3, p - 1) and b != 1)
+
+
+def cyclic_pairs(k):
+    return zip(k, k[1:] + k[:1])
+
+
+@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES + [(3, 3), (3, 5)])
+def test_the_live_walk_is_the_filtered_walk(monkeypatch, p, f):
+    # suite_exceptional walks with the pairs at which no index is dead; that
+    # walk is the unpruned one less every word with a dead pair, wrap included
+    passed = []
+    real = cli.weight_classes
+    monkeypatch.setattr(cli, "weight_classes", lambda *args: passed.append(args[3:]) or real(*args))
+    cli.suite_exceptional(Context(p, f), None)
+    classify = exceptional_letter(p)
+    letters = set(map(classify, range(1, p + 1)))
+    live = {(a, b) for a in letters for b in letters if not dead(p, a, b)} - {(2, 1)}
+    assert passed[0] == (live,)
+    unpruned = weight_classes(p, f, classify)
+    filtered = [(w, n) for w, n in unpruned if all((a, b) in live for a, b in cyclic_pairs(w.k))]
+    assert list(weight_classes(p, f, classify, live)) == filtered
+    assert (filtered == list(weight_classes(p, f, classify))) == (p == 3)
+
+
+def test_a_table_admitting_a_dead_index_changes_the_scan_not_the_suite(monkeypatch):
+    # the pruned walk rests on the closed form of companion_sides: a base side
+    # whose gap at a dead index is 0 (admissible) is in Pprime at 1,3,3 (gaps
+    # 5,0,1).  The scan counts its two unconstrained hits; the suite skips the word
+    real = matching.companion_sides
+
+    def mutated(w):
+        base, *rest = real(w)
+        rows = tuple((b2, b2) if dead(w.p, a, b) else (b1, b2)
+                     for (a, b), (b1, b2) in zip(cyclic_pairs(w.k), base.table.rows))
+        return (base._replace(table=HTWeightTable(w.p, rows)), *rest)
+
+    ctx = Context(5, 3)
+    before = cli.suite_exceptional(ctx, None)
+    assert scan_exceptional(ctx) == before
+    monkeypatch.setattr(matching, "companion_sides", mutated)
+    assert len(exceptional_audit(ctx, Weight(5, (1, 3, 3))).unconstrained_hits) == 2
+    assert scan_exceptional(ctx) != before
+    assert cli.suite_exceptional(ctx, None) == before
