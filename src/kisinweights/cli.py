@@ -360,9 +360,10 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     in_Pprime and the need and avoid sets read, so a word's weights share the
     report, counted by multiplicity.  The walk takes only the letter pairs
     (k_i, k_{i+1}) at which some table has such an entry: a word with a dead
-    index has no hit (exceptional_audit's lemma), so at p > 3 ``weights``
-    counts the type words' multiplicities.  A failure names a representative:
-    a valid weight, maybe not the first failing one of a per-weight scan."""
+    index has no hit (exceptional_audit's lemma), so when a pair is dead
+    ``weights`` counts the type words' multiplicities.  A failure names a
+    representative: a valid weight, maybe not the first failing one of a
+    per-weight scan."""
     p = ctx.p
     classify = lambda x: x if x <= 3 or x >= p - 1 else 4
     letters, admissible = set(map(classify, range(1, p + 1))), {0, 1, p - 1, p}
@@ -376,7 +377,7 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
         if not report.ok:
             hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
             return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
-    if p > 3:  # no index is dead at p = 3, so the walk met every word
+    if len(live) < len(letters) ** 2:  # the walk skipped words: count them by type word
         checked = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
     return {"outcome": "pass", "weights": checked, "unconstrained_hits": unconstrained}
 

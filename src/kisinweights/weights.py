@@ -99,15 +99,14 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
     size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
     letters = list(size)  # 1 first
     if pairs is None:
-        after = {a: letters[1:] if a == 2 else letters for a in letters}
-    else:
-        after = {a: [b for b in letters if (a, b) in pairs] for a in letters}
+        pairs = {(a, b) for a in letters for b in letters} - {(2, 1)}
+    after = {a: [b for b in letters if (a, b) in pairs] for a in letters}
 
     def walk(k: tuple[int, ...]) -> Iterator[tuple[Weight, int]]:
         if len(k) < f:
             for x in after[k[-1]] if k else letters:
                 yield from walk(k + (x,))
-        elif (pairs is None or (k[-1], k[0]) in pairs) and irregular_refusal(p, k) is None:
+        elif (k[-1], k[0]) in pairs and irregular_refusal(p, k) is None:
             yield Weight(p, k), math.prod(map(size.__getitem__, k))
 
     return walk(())

@@ -112,7 +112,8 @@ def test_exceptional_counts_every_weight_of_a_class(p, f):
     # a class holds several weights at p >= 7, and a word with a dead index is
     # not audited at p >= 5; the per-weight scan is the reference
     ctx = Context(p, f)
-    assert cli.suite_exceptional(ctx, None) == scan_exceptional(ctx)
+    record = cli.suite_exceptional(ctx, None)
+    assert record == scan_exceptional(ctx) and record["outcome"] == "pass"
 
 
 def dead(p, a, b):
