@@ -18,10 +18,9 @@ parsers; no reader here decodes them, ``int(text)`` does.
 Exit codes: 0 success / suite passed; 1 verification failure or a dichotomy
 violation; 2 usage, validation or --out/--cache I/O error.
 
-Every subcommand's options are declared once, in ``OPTIONS``.  ``main`` reads a
-subcommand followed only by its exact ``--flag`` and ``--option value`` tokens
-straight off that table; argparse, built from it, answers every other argv
-(abbreviations, ``--opt=value``, ``-h``, bad values) and writes all help and usage.
+Every subcommand's options are declared once, in ``OPTIONS``, and ``main`` reads every
+argv off that table: exact flags and unique prefixes, ``--opt=value`` and ``--``.  It
+writes the help and the usage errors too, with the same text at any terminal width.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import tempfile
 import time
 from json.encoder import encode_basestring_ascii as _escape
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from .field import Context
 from .matching import (
@@ -145,17 +144,10 @@ def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    return tuple(int(part) for part in text.split(",")) if text else ()
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
     try:
-        return _ints(text)
+        return tuple(int(part) for part in text.split(",")) if text.strip() else ()
     except ValueError:
-        import argparse  # only a refusal needs it
-
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 1,3, got {text.strip()!r}") from None
+        raise ValueError(f"expected comma-separated integers, e.g. 1,3, got {text.strip()!r}") from None
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -165,9 +157,7 @@ def _parse_shard(text: str) -> tuple[int, int]:
     except ValueError:  # not i/n: refused below with the same text
         i = n = 0
     if not 0 <= i < n:
-        import argparse  # only a refusal needs it
-
-        raise argparse.ArgumentTypeError("shard must be i/n with 0 <= i < n")
+        raise ValueError("shard must be i/n with 0 <= i < n")
     return i, n
 
 
@@ -222,8 +212,8 @@ def cmd_match(args: SimpleNamespace) -> int:
     doc: dict[str, Any] = {"p": args.p, "f": args.f, "k": w.k}
     mus = {}
     for item in args.jmu:
-        mu_text, _, idxs_text = item.partition(":")
         try:
+            mu_text, idxs_text = item.split(":")
             mu, idxs = int(mu_text), _ints(idxs_text)
         except ValueError:
             raise ValueError(f"--jmu must be MU:IDXS, e.g. 0:0,1, got {item!r}") from None
@@ -607,35 +597,37 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 class Option(NamedTuple):
-    """One option of a subcommand, in the terms of argparse's add_argument."""
+    """One option of a subcommand.  ``convert`` raises ValueError on a bad value.  An
+    action is store (the last value counts), append (every value) or store_true (a switch);
+    usage and help name the value by ``metavar``, else ``choices``, else the flag in capitals."""
 
     flag: str
     help: str
     convert: Callable[[str], Any] = str
     required: bool = False
     default: Any = None
-    action: str = "store"  # store | store_true | append
+    action: str = "store"  # store | store_true | append, and help for -h
     metavar: Optional[str] = None
     choices: Optional[Sequence[str]] = None
 
 
 _CONTEXT = (Option("--p", "odd prime", int, True), Option("--f", "number of embedding indices", int, True))
-_K = Option("--k", "weight, comma-separated", _csv_ints, True)
+_K = Option("--k", "weight, comma-separated", _ints, True)
 _OUT = Option("--out", "write the document here instead of stdout")
 
 # The command line, declared once: each subcommand's help and its options in --help order.
 OPTIONS = {
     "shift": ("companion weights and tables", (*_CONTEXT, _K, _OUT,
-        Option("--l", "twist part, comma-separated", _csv_ints),
+        Option("--l", "twist part, comma-separated", _ints),
         Option("--allow-alt", "emit the alternative fully-marked weight even when the weight is refused", default=False, action="store_true"))),
     "match": ("carrier-set matching", (*_CONTEXT, _K, _OUT,
-        Option("--j", "carrier set for the forward direction", _csv_ints),
-        Option("--jprime", "base carrier set (backward direction)", _csv_ints),
-        Option("--jtheta", "fully-marked carrier set (backward)", _csv_ints),
+        Option("--j", "carrier set for the forward direction", _ints),
+        Option("--jprime", "base carrier set (backward direction)", _ints),
+        Option("--jtheta", "fully-marked carrier set (backward)", _ints),
         Option("--jmu", "marked carrier set, e.g. 0:0,1 (repeatable)", default=[], action="append", metavar="MU:IDXS"))),
     "verify": ("run a named verification suite", (*_CONTEXT, Option("--d", "coefficient field degree", int, default=1), _OUT,
         Option("--suite", "suite name", required=True, choices=sorted(SUITES)),
-        Option("--k", "weight for weight-specific suites", _csv_ints),
+        Option("--k", "weight for weight-specific suites", _ints),
         Option("--cache", "result cache directory"),
         Option("--force", "recompute and compare against any cached record", default=False, action="store_true"))),
     "enumerate": ("stream (weight, carrier set) units as JSON lines", (*_CONTEXT, _OUT,
@@ -643,74 +635,86 @@ OPTIONS = {
 }
 
 
-def build_parser():
-    """A shallow copy of the argparse root, built once per process: an attribute a
-    caller rebinds on it (a tracer wrapping ``parse_args``) stays with that call."""
-    import copy
-
-    return copy.copy(_parser_tree())
+_HELP = Option("-h/--help", "show this help message and exit", action="help")
 
 
-@functools.lru_cache(maxsize=None)
-def _parser_tree():
-    """The root argparse parser, with one subparser per entry of OPTIONS."""
-    import argparse
-    import re
+def _stop(sub: Optional[str], error: Optional[str] = None) -> NoReturn:
+    """A usage error on stderr with exit 2, or (no error) the help of the root (sub None) or of
+    a subcommand on stdout with exit 0, as argparse lays it out on a terminal too wide to wrap."""
+    def shown(o: Option) -> str:  # --p P, --suite {a,b}, --force
+        return o.flag if o.action == "store_true" else f"{o.flag} {o.metavar or ('{' + ','.join(o.choices) + '}' if o.choices else o.flag[2:].upper())}"
 
-    parser = argparse.ArgumentParser(prog="kisinweights", description="Exact weight-shift, matching and verification queries.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, options) in OPTIONS.items():
-        sp = sub.add_parser(name, help=text)
-        # read a token led by "-" and a digit as a value, not an option: "--shard -1/2" reaches _parse_shard
-        sp._negative_number_matcher = re.compile(r"-\.?\d")
-        for opt in options:
-            kw = {} if opt.action == "store_true" else {"type": opt.convert, "metavar": opt.metavar, "choices": opt.choices}
-            sp.add_argument(opt.flag, action=opt.action, required=opt.required, default=opt.default, help=opt.help, **kw)
-    return parser
+    options = OPTIONS[sub][1] if sub else ()
+    parts = [shown(o) if o.required else f"[{shown(o)}]" for o in options] if sub else ["{" + ",".join(OPTIONS) + "}", "..."]
+    usage = " ".join(["usage: kisinweights", *([sub] if sub else []), "[-h]", *parts])
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{'kisinweights ' + sub if sub else 'kisinweights'}: error: {error}\n")
+        raise SystemExit(EXIT_USAGE)
+    rows = [("-h, --help", _HELP.help), *((shown(o), o.help) for o in options)]
+    width = min(24, 4 + max(len(left) for left, _ in rows)) if sub else 24  # each help text's column
+    subs = "".join(f"    {name:<18}  {text}\n" for name, (text, _) in OPTIONS.items())
+    root = f"Exact weight-shift, matching and verification queries.\n\npositional arguments:\n  {{{','.join(OPTIONS)}}}\n{subs}\n"
+    sys.stdout.write(f"{usage}\n\n{'' if sub else root}options:\n" + "".join(
+        f"  {left:<{width - 4}}  {text}\n" if len(left) <= width - 4 else f"  {left}\n{'':{width}}{text}\n" for left, text in rows))
+    raise SystemExit(EXIT_OK)
 
 
-def _read_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """The namespace argparse returns for argv, read off OPTIONS, when argv is a
-    subcommand, then only its exact flags, each value one token not led by "-"
-    that converts and is among the choices, and every required option; else None."""
+def _lookup(token: str, flags: dict[str, Option], sub: str) -> tuple[Optional[Option], Optional[str]]:
+    """The option a token names by its flag or a unique prefix, and its value after "=" or None."""
+    name, eq, value = token.partition("=")
+    found = [name] if name in flags else [flag for flag in flags if flag.startswith(name)] if name.startswith("--") else []
+    if len(found) > 1:
+        _stop(sub, f"ambiguous option: {token} could match {', '.join(found)}")
+    return (flags[found[0]], value if eq else None) if found else (None, None)
+
+
+def _read_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace of argv, read off OPTIONS: a subcommand, then its options in any order."""
     if not argv or argv[0] not in OPTIONS:
-        return None
-    options = {opt.flag: opt for opt in OPTIONS[argv[0]][1]}
-    args = {flag: opt.default for flag, opt in options.items()}
-    tokens = iter(argv[1:])
-    for opt in map(options.get, tokens):
-        switch = opt is not None and opt.action == "store_true"
-        text = "" if switch else next(tokens, "-")
-        if opt is None or text.startswith("-"):
-            return None
-        try:
-            value = True if switch else opt.convert(text)
-        except Exception:  # argparse refuses it, or raises it again
-            return None
-        if opt.choices is not None and value not in opt.choices:
-            return None
-        args[opt.flag] = [*args[opt.flag], value] if opt.action == "append" else value  # a repeat: the last
-    if any(opt.required and args[flag] is None for flag, opt in options.items()):  # required: no default
-        return None
-    return SimpleNamespace(subcommand=argv[0], **{flag[2:].replace("-", "_"): v for flag, v in args.items()})
+        if argv and (argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0])):
+            _stop(None)
+        _stop(None, f"argument subcommand: invalid choice: {argv[0]!r} (choose from {', '.join(map(repr, OPTIONS))})"
+                if argv else "the following arguments are required: subcommand")
+    sub, options = argv[0], OPTIONS[argv[0]][1]
+    flags = {"-h": _HELP, "--help": _HELP, **{opt.flag: opt for opt in options}}
+    args = {opt.flag: opt.default for opt in options}
+    tokens, leftover = iter(argv[1:]), []
+    for token in tokens:
+        opt, text = (flags.get(token), None) if token in flags or token == "--" else _lookup(token, flags, sub)
+        if opt is None:  # no token after "--" is an option
+            leftover += [token, *tokens] if token == "--" else [token]
+        elif opt.action == "store" or opt.action == "append":
+            # the next token, unless led by "-": "-" alone, a negative number (--shard -1/2) and a spaced token naming no option are values
+            if text is None and (text := next(tokens, "--")).startswith("-") and text != "-" and not (
+                    text[1:3].lstrip(".")[:1].isdecimal() or " " in text and _lookup(text, flags, sub)[0] is None):
+                _stop(sub, f"argument {opt.flag}: expected one argument")
+            try:
+                value = opt.convert(text)
+            except ValueError as err:
+                _stop(sub, f"argument {opt.flag}: {f'invalid int value: {text!r}' if opt.convert is int else err}")
+            if opt.choices is not None and value not in opt.choices:
+                _stop(sub, f"argument {opt.flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, opt.choices))})")
+            args[opt.flag] = [*args[opt.flag], value] if opt.action == "append" else value
+        elif text is not None or opt is _HELP:  # a switch takes no value; help stops
+            _stop(sub, None if text is None else f"argument {opt.flag}: ignored explicit argument {text!r}")
+        else:
+            args[opt.flag] = True
+    missing = [opt.flag for opt in options if opt.required and args[opt.flag] is None]
+    if missing or leftover:
+        _stop(sub, f"the following arguments are required: {', '.join(missing)}" if missing
+                else f"unrecognized arguments: {' '.join(leftover)}")
+    return SimpleNamespace(subcommand=sub, **{flag[2:].replace("-", "_"): value for flag, value in args.items()})
 
 
-def _parse(argv: Sequence[str]):
-    """argparse's reading of argv.  An argument the subcommand does not take is
-    refused with the subcommand's usage line, where parse_args gives the root's."""
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        subparsers = parser._subparsers._group_actions[0].choices
-        subparsers[args.subcommand].error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+def build_parser() -> SimpleNamespace:
+    """A fresh reader per call: a ``parse_args`` a caller rebinds (a tracer's probe) stays with it."""
+    return SimpleNamespace(parse_args=_read_args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Answer one request; safe to call many times in one process.  A well-formed
-    request is read off OPTIONS; argparse answers every other."""
+    """Answer one request; safe to call many times in one process."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_args(argv) or _parse(argv)
+    args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:
         try:
@@ -719,15 +723,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ValueError(f"expected {args.f} weight entries, got {len(k)}")
             # cmd_<subcommand>, looked up per call, so that a rebound one (a tracer's probe) is run
             return globals()[f"cmd_{args.subcommand}"](args)
-        except DichotomyError as err:
-            _write_out(dumps({"error": "dichotomy", "reason": str(err)}), out)
-            return EXIT_FAIL
-        except ValueError as err:
-            _write_out(dumps({"error": "invalid", "reason": str(err)}), out)
-            return EXIT_USAGE
-        except AssertionError as err:
-            _write_out(dumps({"error": "fail", "reason": str(err)}), out)
-            return EXIT_FAIL
+        except (ValueError, AssertionError) as err:  # DichotomyError is a ValueError
+            error = "dichotomy" if isinstance(err, DichotomyError) else "invalid" if isinstance(err, ValueError) else "fail"
+            _write_out(dumps({"error": error, "reason": str(err)}), out)
+            return EXIT_USAGE if error == "invalid" else EXIT_FAIL
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit stays quiet
         with contextlib.suppress(OSError):  # io.UnsupportedOperation: no file descriptor

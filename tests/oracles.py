@@ -3,14 +3,17 @@ itself no longer needs, kept as oracles for the code that replaced them."""
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
-from kisinweights.cli import JSON_INT_LIMIT
+from kisinweights.cli import JSON_INT_LIMIT, OPTIONS
 from kisinweights.field import Context, FieldElem, UPoly
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
 from kisinweights.quadratic import _exponents, balanced_sets
@@ -599,3 +602,52 @@ def decode_int(x: Any) -> int:
     if isinstance(x, str):
         return int(x)
     raise TypeError(f"not an encoded integer: {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+def _typed(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """convert, refusing a bad value with its own text, as argparse prints an ArgumentTypeError."""
+    if convert is int or convert is str:  # argparse words int's refusal itself
+        return convert
+
+    def typed(text: str) -> Any:
+        try:
+            return convert(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return typed
+
+
+class ArgparseReader:
+    """The argparse tree the frontend once built from ``kisinweights.cli.OPTIONS``,
+    with the frontend's ``parse_args``: a token led by "-" and a digit is a value
+    (``--shard -1/2``), and an argument the subcommand does not take is refused with
+    that subcommand's usage line, not the root's."""
+
+    def __init__(self) -> None:
+        self.parser = argparse.ArgumentParser(prog="kisinweights", description="Exact weight-shift, matching and verification queries.")
+        sub = self.parser.add_subparsers(dest="subcommand", required=True)
+        self.subparsers = {}
+        for name, (text, options) in OPTIONS.items():
+            sp = self.subparsers[name] = sub.add_parser(name, help=text)
+            sp._negative_number_matcher = re.compile(r"-\.?\d")
+            for opt in options:
+                kw = {} if opt.action == "store_true" else {"type": _typed(opt.convert), "metavar": opt.metavar, "choices": opt.choices}
+                sp.add_argument(opt.flag, action=opt.action, required=opt.required, default=opt.default, help=opt.help, **kw)
+
+    def parse_args(self, argv: Sequence[str]) -> argparse.Namespace:
+        args, extra = self.parser.parse_known_args(argv)
+        if extra:
+            self.subparsers[args.subcommand].error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+
+@functools.lru_cache(maxsize=None)
+def argparse_reader() -> ArgparseReader:
+    """One ArgparseReader per process: building the tree takes about a millisecond."""
+    return ArgparseReader()

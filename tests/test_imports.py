@@ -39,6 +39,19 @@ def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def test_package_imports_no_argparse_copy_or_re():
+    """The frontend reads every argv itself: no module of the package imports
+    argparse, copy or re, not even inside a function."""
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported & {"argparse", "copy", "re"} == set()
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_platform():
     """The records are NamedTuples and the fingerprint reads sys.version, so a
     console call's start-up imports none of these modules."""
@@ -55,20 +68,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_platform():
 
 
 def test_well_formed_request_loads_no_argparse():
-    """main reads a well-formed request off cli.OPTIONS, so argparse (with
-    gettext and locale) loads only for a request it must answer."""
+    """main reads every argv off cli.OPTIONS and writes its own help and usage
+    errors, so no request loads argparse (or gettext and locale) or copy: a
+    well-formed one, an abbreviation, a help request and a usage error alike."""
     code = (
         "import contextlib, io, sys\n"
         "from kisinweights.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['shift', '--p', '5', '--f', '2', '--k', '1,3']),\n"
-        "             main(['verify', '--suite', 'lemma71', '--p', '3', '--f', '2'])]\n"
-        "print(*codes, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+        "def code(argv):\n"
+        "    try:\n"
+        "        return main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [code(argv.split()) for argv in ('shift --p 5 --f 2 --k 1,3', 'verify --suite lemma71 --p 3 --f 2',\n"
+        "             'verify --su=lemma71 --p 3 --f 2', '-h', 'shift -h', '', 'nope', 'shift --p five --f 2 --k 1,3',\n"
+        "             'enumerate --p 3 --f 2 --shard 5/2', 'match --p 3')]\n"
+        "print(*codes, *(m for m in ('argparse', 'gettext', 'locale', 'copy') if m in sys.modules))\n"
         "main(['nope'])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, env=env)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0", "0", "2", "2", "2", "2", "2"]
     assert out.returncode == 2 and out.stderr.startswith("usage: kisinweights")
 
 
