@@ -348,28 +348,27 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     letters k_i for k_i <= 3 or k_i >= p-1 and 4 for the rest.  Every gap
     k_i, k_i - 1 or k_i - 2 of a 4 lies outside {0, 1, p-1, p}, all that
     in_Pprime and the need and avoid sets read, so a word's weights share the
-    report, counted by multiplicity.  The walk takes only the letter pairs
-    (k_i, k_{i+1}) at which some table has such an entry: a word with a dead
-    index has no hit (exceptional_audit's lemma), so when a pair is dead
-    ``weights`` counts the type words' multiplicities.  A failure names a
-    representative: a valid weight, maybe not the first failing one of a
-    per-weight scan."""
+    report, counted by multiplicity.  The walk takes only the live windows
+    (k_{i-1}, k_i, k_{i+1}) of exceptional_audit's lemma.  It skips words at
+    every p, as (2, 2, 2) is dead, so ``weights`` counts the type words'
+    multiplicities.  A failure names a representative: a valid weight, maybe
+    not the first failing one of a per-weight scan."""
     p = ctx.p
     classify = lambda x: x if x <= 3 or x >= p - 1 else 4
-    letters, admissible = set(map(classify, range(1, p + 1))), {0, 1, p - 1, p}
-    # the entries at i: k_i - 1 in every table, and k_i - 2 or k_i in a side when k_{i+1} = 1
-    live = {(a, b) for a in letters for b in letters if a - 1 in admissible or b == 1 and {a - 2, a} & admissible}
-    checked = unconstrained = 0
-    for w, n in weight_classes(p, ctx.f, classify, live - {(2, 1)}):
+    letters = set(map(classify, range(1, p + 1)))
+    sides = lambda a, b: (p - 1 if b == 1 else p,) if a == 1 else (a - 2, a) if b == 1 else (a - 1,)  # r_i at k_i, k_{i+1}
+    passes = lambda x, y: y in (0, 1, p - 1, p) and (x in (1, p - 1)) == (y in (p - 1, p))  # in_Pprime at i
+    windows = {(a, b, c) for a in letters for b in letters for c in letters
+               if passes(a - 1, b - 1) or any(passes(x, y) for x in sides(a, b) for y in sides(b, c))}
+    unconstrained = 0
+    for w, n in weight_classes(p, ctx.f, classify, windows):
         report = exceptional_audit(ctx, w)
-        checked += n
         unconstrained += n * len(report.unconstrained_hits)
         if not report.ok:
             hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
             return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
-    if len(live) < len(letters) ** 2:  # the walk skipped words: count them by type word
-        checked = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
-    return {"outcome": "pass", "weights": checked, "unconstrained_hits": unconstrained}
+    weights = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
+    return {"outcome": "pass", "weights": weights, "unconstrained_hits": unconstrained}
 
 
 def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:

@@ -409,12 +409,15 @@ def exceptional_audit(ctx: Context, w: Weight) -> ExceptionalReport:
     Under the per-block constraints no companion may be exceptional; dropping
     the constraints can produce hits, which are reported separately.
 
-    The dead-index lemma: an i with k_i, k_{i+1} != 1 is in neither J0 nor
-    Mtilde, so every table has entry k_i - 1 there; at a marked nu (k_{nu+1} =
-    1, so k_nu >= 3) they are k_nu - 1 (irregular), k_nu - 2 (theta misses nu)
-    and k_nu (theta holds nu).  When none is in {0, 1, p-1, p} (4 <= k_i <=
-    p-2, or k_i in {3, p-1} and k_{i+1} != 1; never at p = 3), i is dead: no
-    table is in Pprime, and w has no irregular, constrained or unconstrained hit.
+    The window lemma: a table is in Pprime only if in_Pprime's test passes at
+    every i, which reads the pair (r_{i-1}, r_i).  The irregular pair is
+    (k_{i-1} - 1, k_i - 1).  A side's entry at i reads only k_i, k_{i+1} and
+    whether i is in theta (companion_sides): p-1 or p at k_i = 1, k_i - 2 or
+    k_i (theta misses or holds i) at a marked i, and k_i - 1 elsewhere.  A
+    marked i has k_{i+1} = 1 and k_i >= 3, so of i-1 and i at most one is
+    marked.  Where neither the irregular pair nor a side's pair under either
+    choice of theta passes, the window (k_{i-1}, k_i, k_{i+1}) is dead: no table
+    is in Pprime, and w has no irregular, constrained or unconstrained hit.
     """
     _validate(ctx, w)
     irregular_hits = _exceptional_carriers(ctx.p, tuple(ki - 1 for ki in w.k))

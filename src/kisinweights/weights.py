@@ -81,14 +81,14 @@ def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Op
 
 
 def weight_classes(p: int, f: int, classify: Callable[[int], int],
-                   pairs: Optional[Collection[tuple[int, int]]] = None) -> Iterator[tuple[Weight, int]]:
+                   windows: Optional[Collection[tuple[int, int, int]]] = None) -> Iterator[tuple[Weight, int]]:
     """(representative, multiplicity) of each valid class word at (p, f), in
     ascending order: the word of k is classify(k_i) per index, and its
     representative takes each letter's least value.  classify must keep 1 and
     2 as letters of their own, which is all irregular_refusal reads.  Words
-    grow depth first, each letter followed only by one it pairs with in pairs
-    (by least values; default: every pair but (2, 1), all the rule allows),
-    and the wrap-around pair and irregular_refusal decide each full word.
+    grow depth first and never take the pair (2, 1); with windows (letter
+    triples (k_{i-1}, k_i, k_{i+1}) by least values) each three consecutive
+    letters, wrap included, form one.  irregular_refusal decides each full word.
 
     The lemma: J0, M, Mtilde, blocks and validity read only the type word
     tau(k)_i = min(k_i, 3), and a companion_sides row minus the irregular row
@@ -98,15 +98,16 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
     least = {classify(x): x for x in range(p, 0, -1)}
     size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
     letters = list(size)  # 1 first
-    if pairs is None:
-        pairs = {(a, b) for a in letters for b in letters} - {(2, 1)}
-    after = {a: [b for b in letters if (a, b) in pairs] for a in letters}
+    after = {a: [b for b in letters if (a, b) != (2, 1)] for a in letters}
+    after = {(): letters} | {(a,): after[a] for a in letters} | {  # by the last two letters
+        (x, a): after[a] if windows is None else [b for b in after[a] if (x, a, b) in windows] for x in letters for a in letters}
 
     def walk(k: tuple[int, ...]) -> Iterator[tuple[Weight, int]]:
         if len(k) < f:
-            for x in after[k[-1]] if k else letters:
+            for x in after[k[-2:]]:
                 yield from walk(k + (x,))
-        elif (k[-1], k[0]) in pairs and irregular_refusal(p, k) is None:
+        elif (k[-1] != 2 or k[0] != 1) and (windows is None or (ring := k[-2:] + k[:2])[:3] in windows
+                                            and ring[1:] in windows) and irregular_refusal(p, k) is None:
             yield Weight(p, k), math.prod(map(size.__getitem__, k))
 
     return walk(())

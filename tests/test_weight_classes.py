@@ -14,8 +14,8 @@ from kisinweights import cli, matching
 from kisinweights.cli import _type_letter, _value_letter
 from kisinweights.field import Context
 from kisinweights.matching import companion_carriers, exceptional_audit, forward_sets
-from kisinweights.rankone import embedding_subsets
-from kisinweights.weights import HTWeightTable, Weight, irregular_refusal, weight_classes
+from kisinweights.rankone import embedding_subsets, in_Pprime
+from kisinweights.weights import HTWeightTable, Weight, companion_sides, irregular_refusal, weight_classes
 from oracles import valid_weights
 
 LEMMA_SIZES = [(5, 3), (5, 4), (7, 3), (7, 4)]
@@ -107,17 +107,18 @@ def scan_exceptional(ctx):
 EXCEPTIONAL_SIZES = [(5, 3), (5, 4), (5, 5), (7, 3), (7, 4), (11, 3)]
 
 
-@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES)
+@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES + [(3, 5), (7, 5)])
 def test_exceptional_counts_every_weight_of_a_class(p, f):
-    # a class holds several weights at p >= 7, and a word with a dead index is
-    # not audited at p >= 5; the per-weight scan is the reference
+    # a class holds several weights at p >= 7, and a word with a dead window is
+    # not audited at any p; the per-weight scan is the reference
     ctx = Context(p, f)
     record = cli.suite_exceptional(ctx, None)
     assert record == scan_exceptional(ctx) and record["outcome"] == "pass"
 
 
 def dead(p, a, b):
-    """The lemma of matching.exceptional_audit: no table admits index i with k_i = a, k_{i+1} = b."""
+    """A dead index i, with k_i = a, k_{i+1} = b: no table has an admissible entry there
+    (matching.exceptional_audit's lemma), so every window through i is dead."""
     return p > 3 and (4 <= a <= p - 2 or a in (3, p - 1) and b != 1)
 
 
@@ -125,22 +126,52 @@ def cyclic_pairs(k):
     return zip(k, k[1:] + k[:1])
 
 
-@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES + [(3, 3), (3, 5)])
+def tables(w):
+    """Every table exceptional_audit reads: the irregular exponents and each side's gaps."""
+    return [tuple(ki - 1 for ki in w.k), *(side.table.gaps() for side in companion_sides(w))]
+
+
+def pair_passes(p, r, i):
+    """in_Pprime's test at index i, which reads (r_{i-1}, r_i)."""
+    return r[i] in (0, 1, p - 1, p) and (r[i - 1] in (1, p - 1)) == (r[i] in (p - 1, p))
+
+
+def windows_of(k):
+    """(k_{i-1}, k_i, k_{i+1}) at each index i, wrap included."""
+    return [(k[i - 1], k[i], k[(i + 1) % len(k)]) for i in range(len(k))]
+
+
+def live_windows(p, f):
+    """The windows of the valid class words at (p, f) at which some table's pair
+    passes, read off the tables themselves."""
+    return {window for w, _ in weight_classes(p, f, exceptional_letter(p))
+            for i, window in enumerate(windows_of(w.k)) if any(pair_passes(p, r, i) for r in tables(w))}
+
+
+@pytest.mark.parametrize("p,f", EXCEPTIONAL_SIZES + [(3, 3), (3, 5), (5, 2), (7, 2)])
 def test_the_live_walk_is_the_filtered_walk(monkeypatch, p, f):
-    # suite_exceptional walks with the pairs at which no index is dead; that
-    # walk is the unpruned one less every word with a dead pair, wrap included
+    # suite_exceptional walks with the windows at which some table's pair passes
+    # in_Pprime's test; that walk is the unpruned one less every word with a dead
+    # window, wrap included, and it keeps every word with a table in Pprime
     passed = []
     real = cli.weight_classes
     monkeypatch.setattr(cli, "weight_classes", lambda *args: passed.append(args[3:]) or real(*args))
     cli.suite_exceptional(Context(p, f), None)
-    classify = exceptional_letter(p)
-    letters = set(map(classify, range(1, p + 1)))
-    live = {(a, b) for a in letters for b in letters if not dead(p, a, b)} - {(2, 1)}
-    assert passed[0] == (live,)
-    unpruned = weight_classes(p, f, classify)
-    filtered = [(w, n) for w, n in unpruned if all((a, b) in live for a, b in cyclic_pairs(w.k))]
-    assert list(weight_classes(p, f, classify, live)) == filtered
-    assert (filtered == list(weight_classes(p, f, classify))) == (p == 3)
+    classify, live = exceptional_letter(p), live_windows(p, f)
+    unpruned = list(weight_classes(p, f, classify))
+    filtered = [(w, n) for w, n in unpruned if set(windows_of(w.k)) <= live]
+    windows, = passed[0]
+    assert live == {window for w, _ in unpruned for window in windows_of(w.k)} & windows
+    walked = list(weight_classes(p, f, classify, windows))
+    assert walked == filtered != unpruned and (2, 2, 2) not in windows
+    assert {w for w, _ in unpruned if any(in_Pprime(p, r) for r in tables(w))} <= {w for w, _ in walked}
+
+
+@pytest.mark.parametrize("p,f,weights,hits", [(5, 8, 212190, 294), (7, 7, 430710, 161), (11, 7, 8378370, 161),
+                                                (5, 10, 5327046, 937)])
+def test_frontier_records(p, f, weights, hits):
+    # pinned: no per-weight scan reaches these sizes
+    assert cli.suite_exceptional(Context(p, f), None) == {"outcome": "pass", "weights": weights, "unconstrained_hits": hits}
 
 
 def test_a_table_admitting_a_dead_index_changes_the_scan_not_the_suite(monkeypatch):
@@ -160,5 +191,27 @@ def test_a_table_admitting_a_dead_index_changes_the_scan_not_the_suite(monkeypat
     assert scan_exceptional(ctx) == before
     monkeypatch.setattr(matching, "companion_sides", mutated)
     assert len(exceptional_audit(ctx, Weight(5, (1, 3, 3))).unconstrained_hits) == 2
+    assert scan_exceptional(ctx) != before
+    assert cli.suite_exceptional(ctx, None) == before
+
+
+def test_a_side_admitting_a_dead_window_changes_the_scan_not_the_suite(monkeypatch):
+    # the window rule rests on the closed form of companion_sides too: a base side
+    # with gap 1 at the middle of each dead window is in Pprime at 1,1,4 (gaps
+    # 4,5,1), a word with no dead index.  The scan finds its hits; the suite skips the word
+    ctx, live, real = Context(5, 3), live_windows(5, 3), matching.companion_sides
+
+    def mutated(w):
+        base, *rest = real(w)
+        rows = tuple(row if window in live else (row[1] + 1, row[1])
+                     for window, row in zip(windows_of(w.k), base.table.rows))
+        return (base._replace(table=HTWeightTable(w.p, rows)), *rest)
+
+    before = cli.suite_exceptional(ctx, None)
+    assert scan_exceptional(ctx) == before
+    monkeypatch.setattr(matching, "companion_sides", mutated)
+    assert not any(dead(5, a, b) for a, b in cyclic_pairs((1, 1, 4)))
+    report = exceptional_audit(ctx, Weight(5, (1, 1, 4)))
+    assert report.constrained_hits or report.unconstrained_hits
     assert scan_exceptional(ctx) != before
     assert cli.suite_exceptional(ctx, None) == before
