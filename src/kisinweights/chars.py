@@ -25,10 +25,6 @@ class InertialChar(NamedTuple("InertialChar", [("p", int), ("f", int), ("niveau"
             raise ValueError(f"niveau must be 1 or 2, got {niveau}")
         return super().__new__(cls, p, f, niveau, exponent % (p ** (niveau * f) - 1))
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** (self.niveau * self.f) - 1
-
 
 class SemisimpleShape(NamedTuple("SemisimpleShape", [("first", InertialChar), ("second", InertialChar)])):
     """An unordered pair of niveau-1 characters (a two-dimensional tame shape)."""

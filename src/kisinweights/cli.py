@@ -94,7 +94,11 @@ def _encode(x: Any, nl: str) -> str:
     frontend builds (int, str, bool, None, set, frozenset, list, tuple, dict)."""
     t = type(x)
     if t is int:
-        return str(x) if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else f'"{x}"'
+        try:
+            return str(x) if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else f'"{x}"'
+        except ValueError:  # past the int-to-str digit limit, which stays in force for int() on argv
+            import decimal
+            return f'"{decimal.Decimal(x)}"'
     if t is not list and t is not tuple and t is not dict:
         if t is str:
             return _escape(x)
@@ -724,8 +728,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return globals()[f"cmd_{args.subcommand}"](args)
         except (ValueError, AssertionError) as err:  # DichotomyError is a ValueError
             error = "dichotomy" if isinstance(err, DichotomyError) else "invalid" if isinstance(err, ValueError) else "fail"
-            _write_out(dumps({"error": error, "reason": str(err)}), out)
-            return EXIT_USAGE if error == "invalid" else EXIT_FAIL
+            reason = str(err)
+        except MemoryError:  # answered below, once the frames that hold the request's data are freed
+            error, reason = "invalid", "out of memory: the request is too large for this process"
+        _write_out(dumps({"error": error, "reason": reason}), out)
+        return EXIT_USAGE if error == "invalid" else EXIT_FAIL
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull, so the flush at exit stays quiet
         with contextlib.suppress(OSError):  # io.UnsupportedOperation: no file descriptor

@@ -14,8 +14,7 @@ nonzero terms only and carry a Frobenius-semilinear substitution u -> u^p.
 from __future__ import annotations
 
 import functools
-import math
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -65,9 +64,6 @@ class Context(NamedTuple("Context", [("p", int), ("f", int), ("d", int)])):
     def m1(self) -> int:
         """Order of the niveau-1 character group: p^f - 1."""
         return self.p**self.f - 1
-
-    def coefficient_field(self) -> "FiniteField":
-        return make_field(self.p, self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +175,6 @@ class FiniteField:
             raise ValueError(f"{n} out of range for GF({self.p}^{self.d})")
         el = self._elems[abs(n)]
         return -el if n < 0 else el
-
-    def elements(self) -> Iterator["FieldElem"]:
-        return iter(self._elems)
 
     def units(self) -> Iterator["FieldElem"]:
         return iter(self._elems[1:])
@@ -323,10 +316,6 @@ class UPoly:
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return max(self.terms, default=-1)
-
-    def valuation(self) -> Union[int, float]:
-        """u-adic valuation; math.inf for the zero polynomial."""
-        return min(self.terms, default=math.inf)
 
     def coefficient(self, n: int) -> FieldElem:
         return self.terms.get(n, self.field.zero)

@@ -38,22 +38,12 @@ class PhiExtension(
         return super().__new__(cls, quotient, sub, x)
 
     @property
-    def p(self) -> int:
-        return self.quotient.p
-
-    @property
     def f(self) -> int:
         return self.quotient.f
 
     @property
     def field(self) -> FiniteField:
         return self.quotient.a.field
-
-    def s(self) -> tuple[int, ...]:
-        return self.quotient.r
-
-    def t(self) -> tuple[int, ...]:
-        return self.sub.r
 
 
 class PhiMorphism(NamedTuple):

@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
 from kisinweights.cli import JSON_INT_LIMIT, OPTIONS
-from kisinweights.field import Context, FieldElem, UPoly
+from kisinweights.field import Context, FieldElem, UPoly, make_field
 from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
 from kisinweights.quadratic import _exponents, balanced_sets
 from kisinweights.rankone import (
@@ -50,14 +51,19 @@ def m2(ctx: Context) -> int:
     return ctx.p ** (2 * ctx.f) - 1
 
 
+def valuation(poly: UPoly) -> float:
+    """u-adic valuation; math.inf for the zero polynomial."""
+    return min(poly.terms, default=math.inf)
+
+
 def divides_exactly(poly: UPoly, n: int) -> bool:
     """Whether u^n divides the polynomial."""
-    return poly.valuation() >= n
+    return valuation(poly) >= n
 
 
 def unshift(poly: UPoly, n: int) -> UPoly:
     """Exact division by u^n; raises if u^n does not divide."""
-    if poly.valuation() < n:
+    if valuation(poly) < n:
         raise ValueError(f"u^{n} does not divide {poly!r}")
     return UPoly(poly.field, {e - n: c for e, c in poly.terms.items()})
 
@@ -80,13 +86,13 @@ def char_inv(a: InertialChar) -> InertialChar:
 def char_eq(a: InertialChar, b: InertialChar) -> bool:
     return (
         (a.p, a.f, a.niveau) == (b.p, b.f, b.niveau)
-        and a.exponent % a.modulus == b.exponent % b.modulus
+        and (a.exponent - b.exponent) % (a.p ** (a.niveau * a.f) - 1) == 0
     )
 
 
 def frobenius_twist(a: InertialChar, steps: int = 1) -> InertialChar:
     """Compose with Frobenius ``steps`` times: exponent scales by p^steps."""
-    return InertialChar(a.p, a.f, a.niveau, a.exponent * pow(a.p, steps, a.modulus))
+    return InertialChar(a.p, a.f, a.niveau, a.exponent * pow(a.p, steps, a.p ** (a.niveau * a.f) - 1))
 
 
 def conjugate_pair(a: InertialChar) -> tuple[InertialChar, InertialChar]:
@@ -276,7 +282,7 @@ def transport_reverse(
         if xi.degree() == 1 and xi.coefficient(0).is_zero():
             continue
         raise ValueError("parameters must be constants or u times constants")
-    combined = tuple(cP[i] + M.p * cN[(i - 1) % f] for i in range(f))
+    combined = tuple(cP[i] + M.quotient.p * cN[(i - 1) % f] for i in range(f))
     new_x = tuple(xi.shift(combined[i]) for i, xi in enumerate(M.x))
     M2 = PhiExtension(N_target, P_target, new_x)
     return M2, TransportReport(cP, cN, combined)
@@ -323,7 +329,7 @@ def basis_transport_audit(ctx: Context, w: Weight, J, a: FieldElem, b: FieldElem
     1^p = 1, so a basis e_j*1 cannot see a Frobenius-type bug.
     """
     f, p = w.f, ctx.p
-    F = ctx.coefficient_field()
+    F = make_field(ctx.p, ctx.d)
     fs = forward_sets(ctx, w, J)
     J0 = set_J0(w)
     s, t = fs.st

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import decimal
 import enum
 import functools
 import io
@@ -29,7 +30,7 @@ from kisinweights.cli import (
     jsonable,
     main,
 )
-from kisinweights.field import Context
+from kisinweights.field import Context, FiniteField, make_field
 from kisinweights.matching import EquivalenceReport, ExceptionalReport, forward_sets
 from kisinweights.quadratic import IrrEquivalenceReport
 from kisinweights.rankone import embedding_subsets
@@ -816,6 +817,20 @@ def test_verify_audit_assertion_is_a_fail(monkeypatch, capsys):
     assert doc["detail"] == {"reason": "companion congruence failed"}
 
 
+def test_verify_out_of_memory_is_refused(monkeypatch, capsys, tmp_path):
+    """A request too large for the process is refused as invalid input, with a
+    reason naming memory: exit 2, no traceback and no cache slot."""
+    def exhausted(ctx, k):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.SUITES, "pprime", exhausted)
+    code = main(["verify", "--suite", "pprime", "--p", "5", "--f", "3", "--cache", str(tmp_path)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == EXIT_USAGE and doc["error"] == "invalid" and "memory" in doc["reason"]
+    assert captured.err == "" and list(tmp_path.iterdir()) == []
+
+
 def failing_record(capsys, suite, k=None):
     """Run verify at p = 5, f = 3 (and k), check that its document is a fail
     with exit 1 and return the counterexample it names."""
@@ -1004,6 +1019,16 @@ def test_transport_at_d2(capsys, p, families):
     assert doc["detail"] == {"families_transported": families}
 
 
+def test_transport_count_past_the_int_digit_limit(capsys):
+    """At d = 3200 the count has 4,475 digits, past the interpreter's limit on
+    int-to-str conversion (4,300 by default, which still bounds int() on argv):
+    it is printed, not refused after the suite ran."""
+    code, out = run(capsys, "verify", "--suite", "transport", "--p", "5", "--f", "2", "--d", "3200", "--k", "1,3")
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["outcome"] == "pass"
+    assert int(decimal.Decimal(doc["detail"]["families_transported"])) == 2**2 * 3 * (5**3200 - 1) ** 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1014,6 +1039,8 @@ def test_transport_at_d2(capsys, p, families):
 def test_slope_suites_build_no_coefficient_field(monkeypatch, capsys, argv):
     """alpha-id and transport read only exponents: no GF(p^d) is built, so
     the cost of a run does not grow with --d."""
-    monkeypatch.setattr(Context, "coefficient_field", broken)
+    monkeypatch.setattr(FiniteField, "__init__", broken)
+    looked_up = make_field.cache_info()  # make_field serves a field built before from its cache: count its calls
     code, out = run(capsys, "verify", *argv)
     assert code == EXIT_OK and json.loads(out)["outcome"] == "pass"
+    assert make_field.cache_info() == looked_up

@@ -168,7 +168,7 @@ def test_generator_walk_refuses_a_reducible_modulus(p, d, modulus):
 
 def test_field_arithmetic_exhaustive_f9():
     F = make_field(3, 2)
-    elems = list(F.elements())
+    elems = [F.zero, *F.units()]
     assert len(elems) == 9
     for a in elems:
         for b in elems:
@@ -187,7 +187,7 @@ def test_field_arithmetic_exhaustive_f9():
 
 def test_frobenius_order():
     F = make_field(3, 3)
-    for a in F.elements():
+    for a in [F.zero, *F.units()]:
         x = a
         for _ in range(3):
             x = frobenius(x)
@@ -202,16 +202,16 @@ def test_upoly_basics():
     assert q.degree() == 2
     assert q.coefficient(0) == one and q.coefficient(2) == one
     assert (q - q).is_zero()
-    assert UPoly.zero(F).valuation() == math.inf
-    assert q.valuation() == 0
-    assert (u * q).valuation() == 1
+    assert oracles.valuation(UPoly.zero(F)) == math.inf
+    assert oracles.valuation(q) == 0
+    assert oracles.valuation(u * q) == 1
 
 
 def test_upoly_shift_unshift():
     F = make_field(3, 1)
     q = UPoly.monomial(F.one, 2) + UPoly.constant(F.elem(2))
     s = q.shift(3)
-    assert s.valuation() == 3
+    assert oracles.valuation(s) == 3
     assert oracles.unshift(s, 3) == q
     assert oracles.divides_exactly(s, 3)
     assert not oracles.divides_exactly(s, 4)
@@ -274,13 +274,14 @@ def test_table_arithmetic_matches_dense_reference(p, d):
     F = make_field(p, d)
     mod = F.modulus
     vec = {n: _digits(n, p, d) for n in range(F.order)}
-    for a in F.elements():
+    elems = [F.zero, *F.units()]
+    for a in elems:
         va = vec[a.n]
         assert list(a.coeffs) == va
         assert F.elem(a.n) is a
         assert list((-a).coeffs) == [(-c) % p for c in va]
         assert list(frobenius(a).coeffs) == _ref_pow(va, p, mod, p)
-        for b in F.elements():
+        for b in elems:
             vb = vec[b.n]
             assert list((a + b).coeffs) == [(x + y) % p for x, y in zip(va, vb)]
             assert list((a - b).coeffs) == [(x - y) % p for x, y in zip(va, vb)]
@@ -309,7 +310,7 @@ def test_elem_int_and_vector_round_trip():
     for n in (F.order, -F.order):
         with pytest.raises(ValueError, match="out of range for GF"):
             F.elem(n)
-    assert list(F.units()) == list(F.elements())[1:]
+    assert list(F.units()) == [F.elem(n) for n in range(1, F.order)]
 
 
 def test_cross_field_operations_refused():
@@ -369,7 +370,7 @@ def test_sparse_upoly_matches_dense_reference(a, b, n):
     assert _dense_of(x) == a
     assert x.degree() == len(a) - 1
     nonzero = [i for i, c in enumerate(a) if not c.is_zero()]
-    assert x.valuation() == (nonzero[0] if nonzero else math.inf)
+    assert oracles.valuation(x) == (nonzero[0] if nonzero else math.inf)
     assert _dense_of(x * y) == _dense_mul(a, b)
     assert _dense_of(x + y) == _dense_zip(a, b, lambda s, t: s + t)
     assert _dense_of(x - y) == _dense_zip(a, b, lambda s, t: s - t)

@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports, importing the
-console frontend loads no module it does not need, and the package namespace
-imports each public name on first access."""
+"""Every module of the package uses each name it imports and calls each
+function it defines, importing the console frontend loads no module it does
+not need, and the package namespace imports each public name on first access."""
 
 import ast
 import json
@@ -13,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kisinweights"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PROBES = PACKAGE.parent.parent / "perfbench" / "probes.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +38,58 @@ def test_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def uncalled_defs(sources: dict[str, str], readers: list[str], kept: set[str]) -> list[str]:
+    """Each def, method or property of ``sources`` (file name -> text), dunders aside,
+    whose name neither ``kept`` holds nor any of ``sources`` and ``readers`` reads: as a
+    name, an attribute, an imported name or a string constant that is a dotted name."""
+    defined, used = [], set(kept)
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.replace(".", "").isidentifier():
+                used.update(node.value.split("."))
+    for name, tree in trees.items():
+        defined += [(node.name, f"{name}:{node.lineno}") for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [f"{name} ({where})" for name, where in defined if name not in used]
+
+
+def test_checker_sees_uncalled_and_called_defs():
+    source = (
+        "def called(): return helper()\n"
+        "def helper(): return 1\n"
+        "def public(): pass\n"
+        "def by_string(): pass\n"
+        "def uncalled(): pass\n"
+        "class C:\n"
+        "    def __len__(self): return 0\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def unread(self): return self.size\n"
+    )
+    assert uncalled_defs({"m.py": source}, ["PROBES = (('m', 'by_string'), 'm.called')"], {"public"}) == [
+        "uncalled (m.py:5)", "unread (m.py:10)"]
+
+
+def test_every_def_has_a_caller():
+    """No function, method or property of the package goes uncalled: each is in
+    __all__, or read elsewhere in src/ or by perfbench's probes.  cmd_<subcommand>
+    is dispatched by name."""
+    import kisinweights
+    from kisinweights import cli
+
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    kept = {*kisinweights.__all__, *(f"cmd_{sub}" for sub in cli.OPTIONS)}
+    assert uncalled_defs(sources, [PROBES.read_text(encoding="utf-8")], kept) == []
 
 
 def test_package_imports_no_argparse_copy_or_re():

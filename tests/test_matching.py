@@ -7,7 +7,7 @@ import pytest
 
 from kisinweights import matching
 from kisinweights.chars import InertialChar, SemisimpleShape, char_of_exponents
-from kisinweights.field import Context
+from kisinweights.field import Context, make_field
 from kisinweights.matching import (
     DichotomyError,
     ExceptionalReport,
@@ -243,7 +243,7 @@ def test_transport_audit_full():
         for w in valid_weights(3, 2):
             for J in subsets(2):
                 report = subspace_transport_audit(ctx, w, J)
-                assert report.family_size == ctx.coefficient_field().order ** report.dim
+                assert report.family_size == make_field(ctx.p, ctx.d).order ** report.dim
                 assert report.dim == len(J - set_J0(w))
 
 
@@ -377,7 +377,7 @@ def per_side_constraints(w):
 
 
 def per_side_exceptional_report(ctx, w):
-    one = ctx.coefficient_field().one
+    one = make_field(ctx.p, ctx.d).one
     irregular = tuple(
         J for J in subsets(w.f)
         if exceptional_case(ExtensionType(ctx.p, tuple(ki - 1 for ki in w.k), one, one, J))

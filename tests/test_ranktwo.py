@@ -12,7 +12,7 @@ from kisinweights.ranktwo import (
     check_phi_morphism,
     transport_forward,
 )
-from oracles import generically_invertible, transport_reverse, twist_extension
+from oracles import generically_invertible, transport_reverse, twist_extension, valuation
 
 F3 = make_field(3, 1)
 ONE = F3.one
@@ -29,7 +29,7 @@ def test_extension_validation():
     N = RankOneKisin(3, (2, 0), ONE)
     P = RankOneKisin(3, (0, 2), ONE)
     M = PhiExtension(N, P, const_vec([ONE, None]))
-    assert M.s() == (2, 0) and M.t() == (0, 2)
+    assert M.quotient.r == (2, 0) and M.sub.r == (0, 2)
     with pytest.raises(ValueError):
         PhiExtension(RankOneKisin(3, (-1, 0), ONE), P, const_vec([None, None]))
     with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ def test_morphism_detects_mismatch():
 def test_build_extension_normal_form():
     ext = ExtensionType(3, (2, 2), ONE, ONE, frozenset({0}))
     M = build_extension(ext, const_vec([ONE, None]))
-    assert M.s() == (2, 0) and M.t() == (0, 2)
+    assert M.quotient.r == (2, 0) and M.sub.r == (0, 2)
     # parameter outside the carrier refused
     with pytest.raises(ValueError):
         build_extension(ext, const_vec([None, ONE]))
@@ -109,7 +109,7 @@ def test_transport_reverse_combined_exponents():
         report.sub_exponents[i] + 3 * report.quotient_exponents[(i - 1) % 2]
         for i in range(2)
     )
-    assert M2.x[1].valuation() == report.combined[1]
+    assert valuation(M2.x[1]) == report.combined[1]
 
 
 def test_twist_extension():
@@ -117,9 +117,9 @@ def test_twist_extension():
     P = RankOneKisin(3, (0, 2), ONE)
     M = PhiExtension(N, P, const_vec([ONE, None]))
     T = twist_extension(M, (1, 2), TWO)
-    assert T.s() == (3, 2) and T.t() == (1, 4)
+    assert T.quotient.r == (3, 2) and T.sub.r == (1, 4)
     # the parameter picks up the twist: scalar at index 0, u^{shift_0}
-    assert T.x[0].valuation() == 1
+    assert valuation(T.x[0]) == 1
     assert T.x[0].coefficient(1) == TWO
     assert T.x[1].is_zero()
 

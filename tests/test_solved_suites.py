@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from kisinweights import cli
-from kisinweights.field import Context
+from kisinweights.field import Context, make_field
 from kisinweights.rankone import RankOneKisin, embedding_subsets, hom_exists, weighted_sum
 
 # every size whose dense scan takes under about 2 s
@@ -34,7 +34,7 @@ def dense_lemma71(ctx):
 def dense_pprime(ctx):
     """Every (r, J) with r in [0, p]^f, in product order of r and mask order of J."""
     p, f = ctx.p, ctx.f
-    one = ctx.coefficient_field().one
+    one = make_field(ctx.p, ctx.d).one
     checked = 0
     subsets = embedding_subsets(f)
     for r in itertools.product(range(p + 1), repeat=f):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from kisinweights import cli, matching
 from kisinweights.cli import suite_transport
-from kisinweights.field import Context, UPoly
+from kisinweights.field import Context, UPoly, make_field
 from kisinweights.matching import TransportAuditReport, basis_carriers, forward_sets, subspace_transport_audit
 from kisinweights.rankone import RankOneKisin, embedding_subsets, exponents_from_slopes, integer_slopes
 from kisinweights.ranktwo import PhiExtension, transport_forward
@@ -27,7 +27,7 @@ SIZES = ((3, 2, 2), (5, 3, 1), (3, 3, 2))
 def dense_transport_audit(ctx, w, J, a, b):
     """Transport every one of the |F|^dim parameter vectors of every side."""
     f, p = w.f, ctx.p
-    F = ctx.coefficient_field()
+    F = make_field(ctx.p, ctx.d)
     J0 = set_J0(w)
     fs = forward_sets(ctx, w, J)
     sides = companion_sides(w)
@@ -43,7 +43,7 @@ def dense_transport_audit(ctx, w, J, a, b):
         N_tgt = RankOneKisin(p, tuple(x + g for x, g in zip(s, twist)), a)
         P_tgt = RankOneKisin(p, tuple(x + g for x, g in zip(t, twist)), b)
         seen = set()
-        for values in itertools.product(list(F.elements()), repeat=dim):
+        for values in itertools.product([F.zero, *F.units()], repeat=dim):
             x = [UPoly.zero(F)] * f
             for i, v in zip(support, values):
                 x[i] = UPoly.constant(v)
@@ -65,7 +65,7 @@ def dense_transport_audit(ctx, w, J, a, b):
 @pytest.mark.parametrize("p,f,d", SIZES)
 def test_transport_audit_matches_dense_scan(p, f, d):
     ctx = Context(p, f, d)
-    units = list(ctx.coefficient_field().units())
+    units = list(make_field(p, d).units())
     weights = valid_weights(p, f)
     assert weights
     for w in weights:
@@ -120,7 +120,7 @@ def crafted_forward_sets(draw, ctx):
 def test_transport_audit_matches_basis_oracle_on_crafted_splits(p, f, d, data):
     ctx = Context(p, f, d)
     w, J, crafted = data.draw(crafted_forward_sets(ctx))
-    units = list(ctx.coefficient_field().units())
+    units = list(make_field(p, d).units())
     with pytest.MonkeyPatch.context() as mp:
         for module in (matching, oracles):
             mp.setattr(module, "forward_sets", lambda *args: crafted)
