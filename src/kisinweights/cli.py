@@ -335,12 +335,13 @@ _value_letter = int  # each value its own letter: every valid weight
 
 
 def suite_alpha_tables(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    """Audit each valid type word's representative (weights.weight_classes) at
-    its f+1 basis carriers, which proves all 2^f carrier sets of every weight
-    of the word (matching.basis_carriers), counted in ``configurations``.  A
-    broken table still fails, maybe at another weight or J than a scan would."""
+    """Audit each valid type word's representative (weights.weight_classes),
+    one per rotation class by its rotation lemma, at its f+1 basis carriers,
+    which proves all 2^f carrier sets of every weight of the class
+    (matching.basis_carriers), counted in ``configurations``.  A broken table
+    still fails, maybe at another weight or J than a scan would."""
     configurations = 0
-    for w, n in weight_classes(ctx.p, ctx.f, _type_letter):
+    for w, n in weight_classes(ctx.p, ctx.f, _type_letter, rotations=True):
         for J in basis_carriers(ctx.f):
             appendix_alpha_audit(ctx, w, J)
         configurations += n * 2**ctx.f
@@ -353,10 +354,11 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     k_i, k_i - 1 or k_i - 2 of a 4 lies outside {0, 1, p-1, p}, all that
     in_Pprime and the need and avoid sets read, so a word's weights share the
     report, counted by multiplicity.  The walk takes only the live windows
-    (k_{i-1}, k_i, k_{i+1}) of exceptional_audit's lemma.  It skips words at
-    every p, as (2, 2, 2) is dead, so ``weights`` counts the type words'
-    multiplicities.  A failure names a representative: a valid weight, maybe
-    not the first failing one of a per-weight scan."""
+    (k_{i-1}, k_i, k_{i+1}) of exceptional_audit's lemma, and both walks take
+    one word per rotation class (weight_classes' rotation lemma).  It skips
+    words at every p, as (2, 2, 2) is dead, so ``weights`` counts the type
+    words' multiplicities.  A failure names a representative: a valid weight,
+    maybe not the first failing one of a per-weight scan."""
     p = ctx.p
     classify = lambda x: x if x <= 3 or x >= p - 1 else 4
     letters = set(map(classify, range(1, p + 1)))
@@ -365,13 +367,13 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
     windows = {(a, b, c) for a in letters for b in letters for c in letters
                if passes(a - 1, b - 1) or any(passes(x, y) for x in sides(a, b) for y in sides(b, c))}
     unconstrained = 0
-    for w, n in weight_classes(p, ctx.f, classify, windows):
+    for w, n in weight_classes(p, ctx.f, classify, windows, rotations=True):
         report = exceptional_audit(ctx, w)
         unconstrained += n * len(report.unconstrained_hits)
         if not report.ok:
             hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
             return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
-    weights = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
+    weights = sum(n for _, n in weight_classes(p, ctx.f, _type_letter, rotations=True))
     return {"outcome": "pass", "weights": weights, "unconstrained_hits": unconstrained}
 
 
@@ -406,17 +408,18 @@ def suite_transport(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_irr_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    weights = [Weight(ctx.p, k)] if k is not None else [w for w, _ in weight_classes(ctx.p, ctx.f, _value_letter)]
-    total = 0
-    for w in weights:
+    """irr_equivalence_audit of the weight --k, or without it of one weight per
+    rotation class of the valid weights (weight_classes' rotation lemma), with
+    ``weights`` and ``exponents_checked`` summed by multiplicity.  A failure
+    names a valid weight, maybe a rotation of the first failing one of a scan."""
+    weights = [(Weight(ctx.p, k), 1)] if k is not None else weight_classes(ctx.p, ctx.f, _value_letter, rotations=True)
+    count = total = 0
+    for w, n in weights:
         report = irr_equivalence_audit(w)
-        total += report.checked
+        count, total = count + n, total + n * report.checked
         if not report.ok:
-            return {
-                "outcome": "fail",
-                "counterexample": {"k": w.k, "exponents": report.counterexamples[:5]},
-            }
-    return {"outcome": "pass", "weights": len(weights), "exponents_checked": total}
+            return {"outcome": "fail", "counterexample": {"k": w.k, "exponents": report.counterexamples[:5]}}
+    return {"outcome": "pass", "weights": count, "exponents_checked": total}
 
 
 SUITES = {

@@ -81,7 +81,8 @@ def irregular_refusal(p: int, k: tuple[int, ...], l: tuple[int, ...] = ()) -> Op
 
 
 def weight_classes(p: int, f: int, classify: Callable[[int], int],
-                   windows: Optional[Collection[tuple[int, int, int]]] = None) -> Iterator[tuple[Weight, int]]:
+                   windows: Optional[Collection[tuple[int, int, int]]] = None,
+                   rotations: bool = False) -> Iterator[tuple[Weight, int]]:
     """(representative, multiplicity) of each valid class word at (p, f), in
     ascending order: the word of k is classify(k_i) per index, and its
     representative takes each letter's least value.  classify must keep 1 and
@@ -89,12 +90,29 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
     grow depth first and never take the pair (2, 1); with windows (letter
     triples (k_{i-1}, k_i, k_{i+1}) by least values) each three consecutive
     letters, wrap included, form one.  irregular_refusal decides each full word.
+    With rotations only the words least among their cyclic rotations are kept,
+    each standing for its q distinct rotations, by the Fredricksen-Kessler-
+    Maiorana rule (Ruskey, Savage and Wang, J. Algorithms 13, 1992): a prefix
+    k_0..k_{t-1} of period q takes a letter x >= k_{t-q}, of period q if equal
+    and t+1 if larger, and a full word is kept when q divides f.
 
     The lemma: J0, M, Mtilde, blocks and validity read only the type word
     tau(k)_i = min(k_i, 3), and a companion_sides row minus the irregular row
     (k_i - 1, 0) is (0, -1) on theta, (-1, 0) on Mtilde - theta, (p-1 or p, 0)
     on J0 and (0, 0) elsewhere.  Off J0 every carrier is J, so the carriers,
-    ss - s, ts - t and the congruences depend only on (p, tau(k), J)."""
+    ss - s, ts - t and the congruences depend only on (p, tau(k), J).
+
+    The rotation lemma, for the shift (sigma k)_i = k_{i+1}: irregular_refusal,
+    set_J0, blocks, companion_sides and _side_carrier commute with sigma.  A
+    cyclic s of length n has weighted_sum(sigma s) = p * weighted_sum(s) mod
+    p^n - 1, and p is a unit mod p^f - 1 and p^{2f} - 1.  basis_carriers(f)
+    is sigma-stable, and each vector appendix_alpha_audit compares reads index
+    i only at i-1, i and i+1 mod f.  in_Pprime, the need and avoid sets and
+    _side_constraint are cyclic.  So appendix_alpha_audit(sigma w, sigma J)
+    passes exactly when (w, J) does, the hits of exceptional_audit(sigma w)
+    are sigma of those of w, and the disagreements of
+    irr_equivalence_audit(sigma w) are p times those of w mod p^{2f} - 1,
+    which keeps the Frobenius-stable exponents stable and ``checked`` as it is."""
     least = {classify(x): x for x in range(p, 0, -1)}
     size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
     letters = list(size)  # 1 first
@@ -102,15 +120,17 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
     after = {(): letters} | {(a,): after[a] for a in letters} | {  # by the last two letters
         (x, a): after[a] if windows is None else [b for b in after[a] if (x, a, b) in windows] for x in letters for a in letters}
 
-    def walk(k: tuple[int, ...]) -> Iterator[tuple[Weight, int]]:
+    def walk(k: tuple[int, ...], q: int) -> Iterator[tuple[Weight, int]]:
         if len(k) < f:
+            floor = k[-q] if rotations and k else 0
             for x in after[k[-2:]]:
-                yield from walk(k + (x,))
+                if x >= floor:
+                    yield from walk(k + (x,), q if k and x == k[-q] else len(k) + 1)
         elif (k[-1] != 2 or k[0] != 1) and (windows is None or (ring := k[-2:] + k[:2])[:3] in windows
-                                            and ring[1:] in windows) and irregular_refusal(p, k) is None:
-            yield Weight(p, k), math.prod(map(size.__getitem__, k))
+                                            and ring[1:] in windows) and not (rotations and f % q) and irregular_refusal(p, k) is None:
+            yield Weight(p, k), (q if rotations else 1) * math.prod(map(size.__getitem__, k))
 
-    return walk(())
+    return walk((), 0)
 
 
 @lru_cache(maxsize=8)

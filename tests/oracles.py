@@ -14,10 +14,17 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from kisinweights.chars import InertialChar, char_of_exponents
-from kisinweights.cli import JSON_INT_LIMIT, OPTIONS
+from kisinweights.cli import JSON_INT_LIMIT, OPTIONS, _type_letter, _value_letter
 from kisinweights.field import Context, FieldElem, UPoly, make_field
-from kisinweights.matching import TransportAuditReport, check_congruence, forward_sets
-from kisinweights.quadratic import _exponents, balanced_sets
+from kisinweights.matching import (
+    TransportAuditReport,
+    appendix_alpha_audit,
+    basis_carriers,
+    check_congruence,
+    exceptional_audit,
+    forward_sets,
+)
+from kisinweights.quadratic import _exponents, balanced_sets, irr_equivalence_audit
 from kisinweights.rankone import (
     CyclicDecomposition,
     CyclicString,
@@ -39,6 +46,7 @@ from kisinweights.weights import (
     irregular_refusal,
     set_J0,
     st_sequences,
+    weight_classes,
 )
 
 # ---------------------------------------------------------------------------
@@ -608,6 +616,54 @@ def decode_int(x: Any) -> int:
     if isinstance(x, str):
         return int(x)
     raise TypeError(f"not an encoded integer: {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# the class suites word by word
+# ---------------------------------------------------------------------------
+
+
+def alpha_tables_by_words(ctx: Context) -> dict:
+    """suite_alpha_tables auditing every valid type word, not one per rotation class."""
+    configurations = 0
+    for w, n in weight_classes(ctx.p, ctx.f, _type_letter):
+        for J in basis_carriers(ctx.f):
+            appendix_alpha_audit(ctx, w, J)
+        configurations += n * 2**ctx.f
+    return {"outcome": "pass", "configurations": configurations}
+
+
+def exceptional_by_words(ctx: Context) -> dict:
+    """suite_exceptional auditing every live class word and summing every type
+    word, not one of each per rotation class."""
+    p = ctx.p
+    classify = lambda x: x if x <= 3 or x >= p - 1 else 4
+    letters = set(map(classify, range(1, p + 1)))
+    sides = lambda a, b: (p - 1 if b == 1 else p,) if a == 1 else (a - 2, a) if b == 1 else (a - 1,)  # r_i at k_i, k_{i+1}
+    passes = lambda x, y: y in (0, 1, p - 1, p) and (x in (1, p - 1)) == (y in (p - 1, p))  # in_Pprime at i
+    windows = {(a, b, c) for a in letters for b in letters for c in letters
+               if passes(a - 1, b - 1) or any(passes(x, y) for x in sides(a, b) for y in sides(b, c))}
+    unconstrained = 0
+    for w, n in weight_classes(p, ctx.f, classify, windows):
+        report = exceptional_audit(ctx, w)
+        unconstrained += n * len(report.unconstrained_hits)
+        if not report.ok:
+            hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
+            return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
+    weights = sum(n for _, n in weight_classes(p, ctx.f, _type_letter))
+    return {"outcome": "pass", "weights": weights, "unconstrained_hits": unconstrained}
+
+
+def irr_equiv_by_words(ctx: Context) -> dict:
+    """suite_irr_equiv without --k auditing every valid weight, not one per rotation class."""
+    weights = [w for w, _ in weight_classes(ctx.p, ctx.f, _value_letter)]
+    total = 0
+    for w in weights:
+        report = irr_equivalence_audit(w)
+        total += report.checked
+        if not report.ok:
+            return {"outcome": "fail", "counterexample": {"k": w.k, "exponents": report.counterexamples[:5]}}
+    return {"outcome": "pass", "weights": len(weights), "exponents_checked": total}
 
 
 # ---------------------------------------------------------------------------

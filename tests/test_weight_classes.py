@@ -152,15 +152,17 @@ def live_windows(p, f):
 def test_the_live_walk_is_the_filtered_walk(monkeypatch, p, f):
     # suite_exceptional walks with the windows at which some table's pair passes
     # in_Pprime's test; that walk is the unpruned one less every word with a dead
-    # window, wrap included, and it keeps every word with a table in Pprime
+    # window, wrap included, and it keeps every word with a table in Pprime.  Both
+    # of the suite's walks take one word per rotation class
     passed = []
     real = cli.weight_classes
-    monkeypatch.setattr(cli, "weight_classes", lambda *args: passed.append(args[3:]) or real(*args))
+    monkeypatch.setattr(cli, "weight_classes", lambda *args, **kwargs: passed.append((args[3:], kwargs)) or real(*args, **kwargs))
     cli.suite_exceptional(Context(p, f), None)
     classify, live = exceptional_letter(p), live_windows(p, f)
     unpruned = list(weight_classes(p, f, classify))
     filtered = [(w, n) for w, n in unpruned if set(windows_of(w.k)) <= live]
-    windows, = passed[0]
+    (windows,), options = passed[0]
+    assert options == passed[1][1] == {"rotations": True}
     assert live == {window for w, _ in unpruned for window in windows_of(w.k)} & windows
     walked = list(weight_classes(p, f, classify, windows))
     assert walked == filtered != unpruned and (2, 2, 2) not in windows
