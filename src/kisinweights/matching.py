@@ -60,15 +60,8 @@ def _validate(ctx: Context, w: Weight) -> None:
 
 
 # ---------------------------------------------------------------------------
-# congruences and shape membership
+# shape membership
 # ---------------------------------------------------------------------------
-
-
-def check_congruence(p: int, sA: Sequence[int], sB: Sequence[int], modulus: int) -> bool:
-    """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus."""
-    if len(sA) != len(sB):
-        raise ValueError("sequences of different length")
-    return (weighted_sum(p, sA) - weighted_sum(p, sB)) % modulus == 0
 
 
 def semisimple_decide(ctx: Context, shape: SemisimpleShape, table: HTWeightTable) -> bool:
@@ -151,6 +144,11 @@ def basis_carriers(f: int) -> list[EmbeddingSet]:
     G(J) = G(Z/f) + sum over b not in J of (G(Z/f - {b}) - G(Z/f)).  The
     base-vs-marked checks live on the face mu in J, which holds Z/f and every
     neighbour but Z/f - {mu}; these determine an affine function there too.
+
+    The carriers themselves are affine over GF(2): bit i of each side's is
+    J_i off J0 and J_nu xor [nu in theta] on nu's 1-tail.  So, as sets,
+    car(J) = car(Z/f) ^ XOR over b not in J of (car(Z/f - {b}) ^ car(Z/f)),
+    which enumerate folds from a word's basis proofs.
     """
     full = frozenset(range(f))
     return [full, *(full - {b} for b in range(f))]
@@ -169,11 +167,12 @@ def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     sides = companion_sides(w)
     carriers = companion_carriers(w, Jset)
 
-    m = ctx.m1
+    p, m = ctx.p, ctx.m1
     s, t = st = st_sequences(ht_table(w), Jset)
+    ws, wt = weighted_sum(p, s), weighted_sum(p, t)
     splits = tuple(st_sequences(side.table, Jside) for side, Jside in zip(sides, carriers))
     for side, (ss, ts) in zip(sides, splits):
-        if not check_congruence(ctx.p, s, ss, m) or not check_congruence(ctx.p, t, ts, m):
+        if (weighted_sum(p, ss) - ws) % m or (weighted_sum(p, ts) - wt) % m:
             raise AssertionError(f"{side.name} companion congruence failed")
     return ForwardSets(Jset, carriers, st, sides, splits)
 
@@ -202,10 +201,10 @@ def _backward(
             raise DichotomyError(
                 f"carrier sets violate the block dichotomy on block {blk.indices}"
             )
-    m = ctx.m1
+    p, m = ctx.p, ctx.m1
     s, t = st_sequences(ht_table(w), J)
     sp, tp = st_sequences(sides[0].table, Jp)
-    if not check_congruence(ctx.p, s, sp, m) or not check_congruence(ctx.p, t, tp, m):
+    if (weighted_sum(p, sp) - weighted_sum(p, s)) % m or (weighted_sum(p, tp) - weighted_sum(p, t)) % m:
         raise AssertionError("reconstructed carrier fails the weighted congruence")
     return J
 

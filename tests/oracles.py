@@ -20,7 +20,6 @@ from kisinweights.matching import (
     TransportAuditReport,
     appendix_alpha_audit,
     basis_carriers,
-    check_congruence,
     exceptional_audit,
     forward_sets,
 )
@@ -425,6 +424,14 @@ def backward_dichotomy_block(w: Weight, Jprime, aux_of: Callable[[int], frozense
         if not ok:
             return blk.indices
     return None
+
+
+def check_congruence(p: int, sA, sB, modulus: int) -> bool:
+    """Whether sum (sA_i - sB_i) p^(len-1-i) vanishes mod modulus: the
+    congruence forward_sets and the backward reconstruction check inline."""
+    if len(sA) != len(sB):
+        raise ValueError("sequences of different length")
+    return (weighted_sum(p, sA) - weighted_sum(p, sB)) % modulus == 0
 
 
 def check_congruence_by_powers(p: int, sA, sB, modulus: int) -> bool:

@@ -13,7 +13,6 @@ from kisinweights.matching import (
     appendix_alpha_audit,
     backward_from_mus,
     backward_from_theta,
-    check_congruence,
     exceptional_audit,
     forward_sets,
     semisimple_equivalence_audit,
@@ -49,7 +48,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import basis_transport_audit, decode_int, in_range
+from oracles import basis_transport_audit, check_congruence, decode_int, in_range
 
 
 def valid_weights(p, f):

@@ -1,7 +1,8 @@
 """alpha-tables proves each weight at its f+1 basis carriers
 (matching.basis_carriers) and counts the other carrier sets; the
-per-carrier scan below is its reference.  enumerate's per-unit reference
-is in test_cli.py."""
+per-carrier scan below is its reference.  enumerate reads every carrier
+set off the basis carriers by the XOR fold tested here; its per-unit
+reference is in test_cli.py."""
 
 import itertools
 
@@ -9,7 +10,7 @@ import pytest
 
 from kisinweights import cli, matching
 from kisinweights.field import Context
-from kisinweights.matching import _expected_slopes, basis_carriers, forward_sets
+from kisinweights.matching import _expected_slopes, basis_carriers, companion_carriers, forward_sets
 from kisinweights.rankone import embedding_subsets, exponents_from_slopes, weighted_sum
 from kisinweights.weights import HTWeightTable, Weight, set_J0, validate_irregular
 
@@ -84,6 +85,22 @@ def test_every_compared_vector_is_affine_in_J(p, f):
                 for b in full - J:
                     want = [x + y - z for x, y, z in zip(want, G[full - {b}][name], G[full][name])]
                 assert list(got) == want, (w.k, sorted(J), name)
+
+
+@pytest.mark.parametrize("p,f", [(3, 4), (3, 5), (5, 3), (5, 4), (7, 3)])
+def test_every_carrier_is_the_xor_fold_of_the_basis_carriers(p, f):
+    # each side's carrier is affine over GF(2) in the bits of J, which
+    # enumerate reads every J's carriers off: as sets,
+    # car(J) = car(Z/f) ^ XOR over b not in J of (car(Z/f - {b}) ^ car(Z/f))
+    full = frozenset(range(f))
+    for w in valid_weights(p, f):
+        at_full = companion_carriers(w, full)
+        terms = {b: [C ^ D for C, D in zip(at_full, companion_carriers(w, full - {b}))] for b in full}
+        for J in embedding_subsets(f):
+            folded = list(at_full)
+            for b in full - J:
+                folded = [C ^ T for C, T in zip(folded, terms[b])]
+            assert list(companion_carriers(w, J)) == folded, (w.k, sorted(J))
 
 
 @pytest.mark.parametrize("p,f", SIZES)

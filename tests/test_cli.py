@@ -902,64 +902,89 @@ def test_enumerate_out_file_matches_stdout(tmp_path, capsys):
     assert [json.loads(line)["unit"] for line in full.splitlines()] == list(range(len(full.splitlines())))
 
 
+def proofs_seen(monkeypatch, capsys, *argv):
+    """Each forward_sets call of an enumerate run, as (k, lines written before it)."""
+    written, seen = 0, []
+
+    def spy(ctx, w, J):
+        nonlocal written
+        written += capsys.readouterr().out.count("\n")
+        seen.append((w.k, written))
+        return forward_sets(ctx, w, J)
+
+    monkeypatch.setattr(cli, "forward_sets", spy)
+    run(capsys, *argv)
+    return seen
+
+
 def test_enumerate_streams_lines(monkeypatch, capsys):
-    # each unit's line is written before the next unit's carriers are
-    # computed: the n-th companion_carriers call finds n lines written.  A
-    # weight's basis proof (forward_sets) runs between weights, before the
-    # carriers of its first unit
-    written = 0
-    seen = {"unit": [], "proof": []}
-
-    def spy(kind, real):
-        def wrapped(*args):
-            nonlocal written
-            written += capsys.readouterr().out.count("\n")
-            seen[kind].append(written)
-            return real(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(cli, "companion_carriers", spy("unit", cli.companion_carriers))
-    monkeypatch.setattr(cli, "forward_sets", spy("proof", cli.forward_sets))
-    run(capsys, "enumerate", "--p", "3", "--f", "2")
-    # two weights of four units each, each proven at its three basis carriers
-    assert seen == {"unit": list(range(8)), "proof": [0] * 3 + [4] * 3}
+    # each weight's lines are written before the next word's basis proof
+    # (forward_sets) runs: two weights of four units, each its own word,
+    # each proven at its three basis carriers
+    seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "3", "--f", "2")
+    assert seen == [((1, 3), 0)] * 3 + [((3, 1), 4)] * 3
 
 
-def words_first_seen(p, f):
-    """The unit numbers of the first weight of each type word (k_i capped at 3)."""
-    first = {}
+def expected_proofs(p, f, shard):
+    """f+1 proofs per type word (k_i capped at 3), at the first weight of the
+    word with a unit in the shard, once every earlier unit's line is written."""
+    shard_i, shard_n = shard or (0, 1)
+    proofs, written, words = [], 0, set()
     for n, w in enumerate(oracles.valid_weights(p, f)):
-        first.setdefault(tuple(min(ki, 3) for ki in w.k), n)
-    return [n * 2**f + mask for n in first.values() for mask in range(2**f)]
+        units = [u for u in range(n * 2**f, (n + 1) * 2**f) if u % shard_n == shard_i]
+        word = tuple(min(ki, 3) for ki in w.k)
+        if units and word not in words:
+            words.add(word)
+            proofs += [(w.k, written)] * (f + 1)
+        written += len(units)
+    return proofs
+
+
+def prefix_builds(monkeypatch, capsys, *argv):
+    """The prefixes each functools.lru_cache of an enumerate run built (its misses), in order."""
+    caches, lru_cache = [], functools.lru_cache
+
+    def recording(*args, **kwargs):
+        def wrap(fn):
+            caches.append(cached := lru_cache(*args, **kwargs)(fn))
+            return cached
+        return wrap
+
+    monkeypatch.setattr(cli.functools, "lru_cache", recording)
+    run(capsys, *argv)
+    return [cached.cache_info().misses for cached in caches]
+
+
+def expected_builds(p, f, shard):
+    """One prefix per type word and J among its units in the shard, words in proof order."""
+    shard_i, shard_n = shard or (0, 1)
+    masks = {}
+    for n, w in enumerate(oracles.valid_weights(p, f)):
+        if units := [u for u in range(n * 2**f, (n + 1) * 2**f) if u % shard_n == shard_i]:
+            masks.setdefault(tuple(min(ki, 3) for ki in w.k), set()).update(u - n * 2**f for u in units)
+    return [len(word_masks) for word_masks in masks.values()]
 
 
 @pytest.mark.parametrize("p,f", [(5, 2), (5, 3)])
 def test_enumerate_works_once_per_type_word_and_streams(monkeypatch, capsys, p, f):
-    # the weights of a type word share their carriers and congruences, so
-    # companion_carriers runs only for the first weight of each word (at
-    # each of its units, once every earlier line is written), and the basis
-    # proof (forward_sets) once per word, between lines
-    written = 0
-    seen = {"unit": [], "proof": []}
-
-    def spy(kind, real):
-        def wrapped(*args):
-            nonlocal written
-            written += capsys.readouterr().out.count("\n")
-            seen[kind].append(written)
-            return real(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(cli, "companion_carriers", spy("unit", cli.companion_carriers))
-    monkeypatch.setattr(cli, "forward_sets", spy("proof", cli.forward_sets))
-    run(capsys, "enumerate", "--p", str(p), "--f", str(f))
-    units = words_first_seen(p, f)
-    assert seen == {"unit": units, "proof": [u for u in units[:: 2**f] for _ in range(f + 1)]}
+    # the weights of a type word share their carriers and congruences, so the
+    # basis proof (forward_sets) runs f+1 times per word, at its first weight
+    # with a unit in the shard, between weights; every carrier set comes from
+    # those proofs' carriers, with no other forward_sets call.  At p > 3 a word
+    # has several weights and builds each line prefix once per J, at most 2^f
+    for shard in [None, (1, 3), (6, 8), (5, 40)]:
+        argv = ["enumerate", "--p", str(p), "--f", str(f)] + (["--shard", "%d/%d" % shard] if shard else [])
+        assert proofs_seen(monkeypatch, capsys, *argv) == expected_proofs(p, f, shard)
+        builds = prefix_builds(monkeypatch, capsys, *argv)
+        assert builds == expected_builds(p, f, shard) and max(builds) <= 2**f
+        if shard is None:
+            assert builds == [2**f] * (len(expected_proofs(p, f, None)) // (f + 1))
     if (p, f) == (5, 2):
-        # six weights: (1, 3), (1, 4), (1, 5) of word (1, 3), then (3, 1), (4, 1), (5, 1)
-        assert seen == {"unit": [0, 1, 2, 3, 12, 13, 14, 15], "proof": [0] * 3 + [12] * 3}
+        # six weights: (1, 3), (1, 4), (1, 5) of word (1, 3), then (3, 1), (4, 1), (5, 1);
+        # shard 6/8 has units 6, 14 and 22, on the second, fourth and sixth weights
+        assert proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "2") == [((1, 3), 0)] * 3 + [((3, 1), 12)] * 3
+        seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "2", "--shard", "6/8")
+        assert seen == [((1, 4), 0)] * 3 + [((3, 1), 1)] * 3
 
 
 def internal_error(*args, **kwargs):

@@ -107,13 +107,14 @@ def test_package_imports_no_argparse_copy_or_re():
 
 def test_cli_import_loads_no_dataclasses_inspect_or_platform():
     """The records are NamedTuples and the fingerprint reads sys.version, so a
-    console call's start-up imports none of these modules."""
+    console call's start-up imports none of these modules; enumerate imports
+    heapq when it runs."""
     code = (
         "import sys\n"
         "import kisinweights.cli\n"
         "from kisinweights.field import make_field\n"
         "make_field(5, 1)\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'platform') if m in sys.modules))\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'platform', 'heapq') if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True, text=True, env=env, check=True)

@@ -5,7 +5,6 @@ against integer_slopes."""
 
 from hypothesis import given, settings, strategies as st
 
-from kisinweights.matching import check_congruence
 from kisinweights.rankone import (
     embedding_set,
     embedding_subsets,
@@ -14,7 +13,7 @@ from kisinweights.rankone import (
     weighted_sum,
 )
 from kisinweights.weights import HTWeightTable, split_sums, st_sequences
-from oracles import check_congruence_by_powers, st_sequences_two_pass, weighted_sum_by_powers
+from oracles import check_congruence, check_congruence_by_powers, st_sequences_two_pass, weighted_sum_by_powers
 
 primes = st.sampled_from([3, 5, 7, 11])
 lengths = st.integers(1, 6)

@@ -17,7 +17,6 @@ from kisinweights.matching import (
     appendix_alpha_audit,
     backward_from_mus,
     backward_from_theta,
-    check_congruence,
     exceptional_audit,
     forward_sets,
     semisimple_decide,
@@ -39,7 +38,7 @@ from kisinweights.weights import (
     weight_kprime,
     weight_ktheta,
 )
-from oracles import backward_dichotomy_block, shape_search
+from oracles import backward_dichotomy_block, check_congruence, shape_search
 
 
 def valid_weights(p, f):
