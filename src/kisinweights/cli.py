@@ -47,6 +47,7 @@ from .matching import (
     basis_carriers,
     exceptional_audit,
     forward_sets,
+    rotate_fold,
     semisimple_equivalence_audit,
     subspace_transport_audit,
     transport_exponents,
@@ -70,6 +71,7 @@ from .weights import (
     set_Mtilde2,
     validate_irregular,
     weight_classes,
+    weight_count,
     weight_kmu,
     weight_kprime,
     weight_ktheta,
@@ -348,16 +350,13 @@ def suite_alpha_tables(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
 
 
 def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
-    """exceptional_audit of the representative of each valid class word, with
-    letters k_i for k_i <= 3 or k_i >= p-1 and 4 for the rest.  Every gap
-    k_i, k_i - 1 or k_i - 2 of a 4 lies outside {0, 1, p-1, p}, all that
-    in_Pprime and the need and avoid sets read, so a word's weights share the
-    report, counted by multiplicity.  The walk takes only the live windows
-    (k_{i-1}, k_i, k_{i+1}) of exceptional_audit's lemma, and both walks take
-    one word per rotation class (weight_classes' rotation lemma).  It skips
-    words at every p, as (2, 2, 2) is dead, so ``weights`` counts the type
-    words' multiplicities.  A failure names a representative: a valid weight,
-    maybe not the first failing one of a per-weight scan."""
+    """exceptional_audit of the representative of each valid class word, with letters k_i for
+    k_i <= 3 or k_i >= p-1 and 4 for the rest.  Every gap k_i, k_i - 1 or k_i - 2 of a 4 lies
+    outside {0, 1, p-1, p}, all that in_Pprime and the need and avoid sets read, so a word's
+    weights share the report, counted by multiplicity.  The walk takes only the live windows
+    (k_{i-1}, k_i, k_{i+1}) of exceptional_audit's lemma, one word per rotation class; as it
+    skips (2, 2, 2) at every p, ``weights`` is weights.weight_count.  A failure names a
+    representative: a valid weight, maybe not the first failing one of a per-weight scan."""
     p = ctx.p
     classify = lambda x: x if x <= 3 or x >= p - 1 else 4
     letters = set(map(classify, range(1, p + 1)))
@@ -372,8 +371,7 @@ def suite_exceptional(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
         if not report.ok:
             hits = {"irregular_hits": report.irregular_hits, "constrained_hits": report.constrained_hits}
             return {"outcome": "fail", "counterexample": {"k": w.k, **hits}}
-    weights = sum(n for _, n in weight_classes(p, ctx.f, _type_letter, rotations=True))
-    return {"outcome": "pass", "weights": weights, "unconstrained_hits": unconstrained}
+    return {"outcome": "pass", "weights": weight_count(p, ctx.f), "unconstrained_hits": unconstrained}
 
 
 def suite_semisimple_equiv(ctx: Context, k: Optional[tuple[int, ...]]) -> dict:
@@ -483,9 +481,8 @@ def _read_record(path: str, suite: str, params: dict) -> Optional[dict]:
             doc = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(doc, dict) or not RECORD_FIELDS <= doc.keys():
-        return None
-    if doc["outcome"] not in EXIT_CODES or not isinstance(doc["detail"], dict):
+    if not (isinstance(doc, dict) and RECORD_FIELDS <= doc.keys() and isinstance(doc["detail"], dict)
+            and isinstance(doc["outcome"], str) and doc["outcome"] in EXIT_CODES):
         return None
     return doc if doc["suite"] == suite and doc["params"] == jsonable(params) else None
 
@@ -508,7 +505,7 @@ def run_suite(suite: str, ctx: Context, k: Optional[tuple[int, ...]], params: di
             if suite not in WEIGHT_SUITES:
                 raise ValueError("suite takes no --k")
             validate_irregular(Weight(ctx.p, k))
-        elif suite in SIZE_SUITES and next(weight_classes(ctx.p, ctx.f, _type_letter), None) is None:
+        elif suite in SIZE_SUITES and weight_count(ctx.p, ctx.f) == 0:
             raise ValueError("no valid irregular weight at this size")
     except ValueError as err:
         result = {"outcome": "refused", "reason": str(err)}
@@ -559,15 +556,13 @@ def cmd_verify(args: SimpleNamespace) -> int:
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
-    """Stream every unit, weights ascending: the products of each valid type word's
-    letters' values (weights.weight_classes), merged on a heap that a word joins when
-    the stream reaches it, its least weight, and leaves after its last.  Each word is
-    proven once, by forward_sets at the basis carriers of its first weight with a unit
-    in the shard, and every J's carriers are the XOR fold of those proofs' carriers
-    (matching.basis_carriers).  Every word holds a 3 (k_nu >= 3), so at p > 3 it has
-    (p-2)^#3s > 1 weights and keeps its line prefix per J while on the heap.  Against a
-    walk of every weight with companion_carriers per (word, J), one process each, best
-    of two: p3 f8 7.1 -> 1.4 s, p5 f7 4.9 -> 1.8 s, p7 f6 3.0 -> 1.2 s (2-vCPU x86-64)."""
+    """Stream every unit, weights ascending: the products of each valid type word's letters'
+    values (weights.weight_classes), merged on a heap that a word joins at its least weight
+    and leaves after its last.  Each rotation class is proven once, by forward_sets at the
+    basis carriers of its least word, at its first weight with a unit in the shard; a word
+    rotates that proof's fold (matching.rotate_fold), XOR-folds each J's carriers off it
+    (basis_carriers) and at p > 3 keeps its line prefix per J.  Against a proof per type word,
+    one process each (2-vCPU x86-64): p3 f10 shard 5/1024 8.2 -> 1.4 s, p3 f12 shard 5/4096 67 -> 11 s."""
     import heapq
 
     p, f = args.p, args.f
@@ -575,13 +570,17 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     shard_i, shard_n = args.shard
     texts = [str(sorted(J)) for J in embedding_subsets(f)]  # the JSON of each J, by bit mask
     pack = lambda carriers: sum(1 << s * f + i for s, C in enumerate(carriers) for i in C)  # side s: bits s*f..
+    proofs: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}  # each rotation class's fold and nus, by its least word
 
-    def prove(w: Weight) -> Callable[[int], str]:
-        at_full, *at_drops = [forward_sets(ctx, w, J) for J in basis_carriers(f)]
-        # bit b's term, taken when b is not in J: each carrier's change from Z/f to Z/f - {b}
-        terms = [pack(map(frozenset.symmetric_difference, at_full.carriers, fs.carriers)) for fs in at_drops]
-        base, last = pack(at_full.carriers), (len(at_full.sides) - 1) * f
-        marked = sorted((str(min(side.theta)), s * f) for s, side in enumerate(at_full.sides[1:-1], 1))
+    def prove(word: tuple[int, ...]) -> Callable[[int], str]:
+        rotations = [word[r:] + word[:r] for r in range(f)]
+        if (least := min(rotations)) not in proofs:
+            at_full, *at_drops = [forward_sets(ctx, Weight(p, least), J) for J in basis_carriers(f)]
+            fold = (pack(at_full.carriers), *(pack(map(frozenset.symmetric_difference, at_full.carriers, fs.carriers)) for fs in at_drops))
+            proofs[least] = fold, tuple(min(side.theta) for side in at_full.sides[1:-1])  # tuples: one per class is kept
+        (fold, nus), r = proofs[least], rotations.index(least)
+        base, *terms = rotate_fold(fold, f, nus, r)
+        last, marked = (len(nus) + 1) * f, sorted((str(nu), s * f) for s, nu in enumerate(sorted((nu + r) % f for nu in nus), 1))
 
         def prefix(mask: int) -> str:
             carriers = base
@@ -616,7 +615,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
             if not (masks := range((shard_i - first) % shard_n, size, shard_n)):
                 continue
             if not slot:  # at p > 3 the word has several weights and keeps its prefix per J
-                prefix = prove(Weight(p, k))
+                prefix = prove(tuple(map(_type_letter, k)))
                 slot.append(functools.lru_cache(maxsize=None)(prefix) if p > 3 else prefix)
             tail = f'"k": {list(k)}, "unit": '
             yield "".join([f"{slot[0](mask)}{tail}{first + mask}}}\n" for mask in masks])

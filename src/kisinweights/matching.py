@@ -154,6 +154,17 @@ def basis_carriers(f: int) -> list[EmbeddingSet]:
     return [full, *(full - {b} for b in range(f))]
 
 
+def rotate_fold(fold: Sequence[int], f: int, nus: Sequence[int], r: int) -> list[int]:
+    """The fold of k (carriers at Z/f, then each bit b's term; side s's at bits s*f.., in
+    companion_sides order) from that of q = k[r:] + k[:r], nus q's marked elements ascending:
+    bit i is q's bit i - r, b's term q's of b - r, and the marked sides re-laid by nu + r mod f."""
+    m, t = len(nus), sum(nu >= f - r for nu in nus)  # t of them wrap past f and go first
+    ones = ((1 << (m + 2) * f) - 1) // ((1 << f) - 1)  # bit 0 of each side
+    low, high, marked = ones * ((1 << r) - 1), ones * ((1 << f) - (1 << r)), ((1 << m * f) - 1) << f
+    turned = [x << r & high | x >> f - r & low for x in fold[:1] + fold[f + 1 - r:] + fold[1:f + 1 - r]]
+    return [x & ~marked | ((x & marked) >> (m - t) * f | (x & marked) << t * f) & marked for x in turned]
+
+
 def forward_sets(ctx: Context, w: Weight, J: Iterable[int]) -> ForwardSets:
     """Build the companion carrier sets and verify the weighted congruences.
 

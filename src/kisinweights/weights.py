@@ -102,17 +102,18 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
     on J0 and (0, 0) elsewhere.  Off J0 every carrier is J, so the carriers,
     ss - s, ts - t and the congruences depend only on (p, tau(k), J).
 
-    The rotation lemma, for the shift (sigma k)_i = k_{i+1}: irregular_refusal,
-    set_J0, blocks, companion_sides and _side_carrier commute with sigma.  A
-    cyclic s of length n has weighted_sum(sigma s) = p * weighted_sum(s) mod
-    p^n - 1, and p is a unit mod p^f - 1 and p^{2f} - 1.  basis_carriers(f)
-    is sigma-stable, and each vector appendix_alpha_audit compares reads index
-    i only at i-1, i and i+1 mod f.  in_Pprime, the need and avoid sets and
-    _side_constraint are cyclic.  So appendix_alpha_audit(sigma w, sigma J)
-    passes exactly when (w, J) does, the hits of exceptional_audit(sigma w)
-    are sigma of those of w, and the disagreements of
-    irr_equivalence_audit(sigma w) are p times those of w mod p^{2f} - 1,
-    which keeps the Frobenius-stable exponents stable and ``checked`` as it is."""
+    The rotation lemma, for the shift (sigma k)_i = k_{i+1}: irregular_refusal, set_J0,
+    blocks, companion_sides and _side_carrier commute with sigma.  A cyclic s of length n
+    has weighted_sum(sigma s) = p * weighted_sum(s) mod p^n - 1, and p is a unit mod
+    p^f - 1 and p^{2f} - 1.  basis_carriers(f) is sigma-stable, and each vector
+    appendix_alpha_audit compares reads index i only at i-1, i and i+1 mod f.  in_Pprime,
+    the need and avoid sets and _side_constraint are cyclic.  So
+    appendix_alpha_audit(sigma w, sigma J) passes exactly when (w, J) does, the hits of
+    exceptional_audit(sigma w) are sigma of those of w, the disagreements of
+    irr_equivalence_audit(sigma w) are p times those of w mod p^{2f} - 1, which keeps the
+    Frobenius-stable exponents stable and ``checked`` as it is, and enumerate's carriers
+    of (sigma w, sigma J) are sigma of those of (w, J), the marked sides re-laid in
+    ascending nu (matching.rotate_fold)."""
     least = {classify(x): x for x in range(p, 0, -1)}
     size = Counter(least[classify(x)] for x in range(1, p + 1))  # by representative, ascending
     letters = list(size)  # 1 first
@@ -131,6 +132,20 @@ def weight_classes(p: int, f: int, classify: Callable[[int], int],
             yield Weight(p, k), (q if rotations else 1) * math.prod(map(size.__getitem__, k))
 
     return walk((), 0)
+
+
+def walks(step: list[list[int]], f: int) -> int:
+    """tr(step^f) in exact ints: the closed walks of f steps, step[a][b] ways from a to b."""
+    power = step
+    for _ in range(f - 1):
+        power = [[sum(map(int.__mul__, row, col)) for col in zip(*step)] for row in power]
+    return sum(power[i][i] for i in range(len(step)))
+
+
+def weight_count(p: int, f: int) -> int:
+    """Valid weights at (p, f): tr(A^f) - tr(B^f) - 1, A steps over type letters 1, 2, 3 (1, 1, p-2 values) but 2 -> 1, B its {2, 3} block."""
+    step = [[1, 1, p - 2], [0, 1, p - 2], [1, 1, p - 2]]
+    return walks(step, f) - walks([row[1:] for row in step[1:]], f) - 1
 
 
 @lru_cache(maxsize=8)

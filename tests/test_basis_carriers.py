@@ -10,9 +10,9 @@ import pytest
 
 from kisinweights import cli, matching
 from kisinweights.field import Context
-from kisinweights.matching import _expected_slopes, basis_carriers, companion_carriers, forward_sets
+from kisinweights.matching import _expected_slopes, basis_carriers, companion_carriers, forward_sets, rotate_fold
 from kisinweights.rankone import embedding_subsets, exponents_from_slopes, weighted_sum
-from kisinweights.weights import HTWeightTable, Weight, set_J0, validate_irregular
+from kisinweights.weights import HTWeightTable, Weight, blocks, set_J0, validate_irregular
 
 SIZES = [(3, 2), (3, 3), (5, 2), (5, 3), (3, 4), (5, 4)]
 
@@ -101,6 +101,31 @@ def test_every_carrier_is_the_xor_fold_of_the_basis_carriers(p, f):
             for b in full - J:
                 folded = [C ^ T for C, T in zip(folded, terms[b])]
             assert list(companion_carriers(w, J)) == folded, (w.k, sorted(J))
+
+
+def packed(carriers, f):
+    """Side s's carrier at bits s*f.., as enumerate packs them."""
+    return sum(1 << s * f + i for s, C in enumerate(carriers) for i in C)
+
+
+@pytest.mark.parametrize("p,f", [(3, 4), (5, 3), (5, 4), (7, 3)])
+def test_the_rotated_fold_is_the_fold_of_every_rotation(p, f):
+    # enumerate proves one word per rotation class and rotates its fold to the
+    # rest: every rotation k of every valid w, at every J, gets companion_carriers(k, J),
+    # its marked sides in ascending nu
+    full = frozenset(range(f))
+    for w in valid_weights(p, f):
+        at_full = companion_carriers(w, full)
+        fold = [packed(at_full, f), *(packed(map(frozenset.symmetric_difference, at_full, companion_carriers(w, full - {b})), f)
+                                      for b in range(f))]
+        for r in range(f):
+            k = Weight(p, w.k[f - r:] + w.k[:f - r])  # k[r:] + k[:r] is w
+            base, *terms = rotate_fold(fold, f, sorted(blk.nu for blk in blocks(w)), r)
+            for J in embedding_subsets(f):
+                folded = base
+                for b in full - J:
+                    folded ^= terms[b]
+                assert folded == packed(companion_carriers(k, J), f), (w.k, r, sorted(J))
 
 
 @pytest.mark.parametrize("p,f", SIZES)

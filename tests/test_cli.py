@@ -746,6 +746,19 @@ def test_verify_cache_record_with_bad_outcome_is_a_miss(tmp_path, capsys):
     assert doc["cache"] == "miss" and doc["outcome"] == "pass"
 
 
+@pytest.mark.parametrize("outcome", [[], {}], ids=["list", "dict"])
+def test_verify_cache_record_with_unhashable_outcome_is_a_miss(tmp_path, capsys, outcome):
+    # read as malformed, not looked up among the outcomes: recomputed and overwritten
+    slot = cache_slot(tmp_path, capsys, LEMMA71)
+    record = json.loads(slot.read_text())
+    record["outcome"] = outcome
+    slot.write_text(json.dumps(record))
+    code, out = run(capsys, *LEMMA71, "--cache", str(tmp_path))
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["cache"] == "miss" and doc["outcome"] == "pass"
+    assert json.loads(slot.read_text())["outcome"] == "pass"
+
+
 def test_verify_force_compares_the_fingerprint(tmp_path, capsys):
     slot = cache_slot(tmp_path, capsys, LEMMA71)
     record = json.loads(slot.read_text())
@@ -918,24 +931,33 @@ def proofs_seen(monkeypatch, capsys, *argv):
 
 
 def test_enumerate_streams_lines(monkeypatch, capsys):
-    # each weight's lines are written before the next word's basis proof
-    # (forward_sets) runs: two weights of four units, each its own word,
-    # each proven at its three basis carriers
-    seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "3", "--f", "2")
-    assert seen == [((1, 3), 0)] * 3 + [((3, 1), 4)] * 3
+    # each weight's lines are written before the next rotation class's basis
+    # proof (forward_sets) runs: nine weights of eight units in three classes,
+    # (1,1,3) (1,3,1) (3,1,1), then (1,2,3) (2,3,1) (3,1,2) and (1,3,3) (3,1,3)
+    # (3,3,1), each proven on its least word at its four basis carriers
+    seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "3", "--f", "3")
+    assert seen == [((1, 1, 3), 0)] * 4 + [((1, 2, 3), 8)] * 4 + [((1, 3, 3), 24)] * 4
+    # (1,3) and (3,1) are one class, proven once on (1,3)
+    seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "3", "--f", "2", "--shard", "5/8")
+    assert seen == [((1, 3), 0)] * 3
+
+
+def least_rotation(word):
+    return min(word[r:] + word[:r] for r in range(len(word)))
 
 
 def expected_proofs(p, f, shard):
-    """f+1 proofs per type word (k_i capped at 3), at the first weight of the
-    word with a unit in the shard, once every earlier unit's line is written."""
+    """f+1 proofs per rotation class of type words (k_i capped at 3), on its
+    least word, at the first weight of the class with a unit in the shard, once
+    every earlier unit's line is written."""
     shard_i, shard_n = shard or (0, 1)
-    proofs, written, words = [], 0, set()
+    proofs, written, classes = [], 0, set()
     for n, w in enumerate(oracles.valid_weights(p, f)):
         units = [u for u in range(n * 2**f, (n + 1) * 2**f) if u % shard_n == shard_i]
-        word = tuple(min(ki, 3) for ki in w.k)
-        if units and word not in words:
-            words.add(word)
-            proofs += [(w.k, written)] * (f + 1)
+        least = least_rotation(tuple(min(ki, 3) for ki in w.k))
+        if units and least not in classes:
+            classes.add(least)
+            proofs += [(least, written)] * (f + 1)
         written += len(units)
     return proofs
 
@@ -956,7 +978,7 @@ def prefix_builds(monkeypatch, capsys, *argv):
 
 
 def expected_builds(p, f, shard):
-    """One prefix per type word and J among its units in the shard, words in proof order."""
+    """One prefix per type word and J among its units in the shard, words in the order of their first unit."""
     shard_i, shard_n = shard or (0, 1)
     masks = {}
     for n, w in enumerate(oracles.valid_weights(p, f)):
@@ -965,26 +987,34 @@ def expected_builds(p, f, shard):
     return [len(word_masks) for word_masks in masks.values()]
 
 
-@pytest.mark.parametrize("p,f", [(5, 2), (5, 3)])
+@pytest.mark.parametrize("p,f", [(5, 2), (5, 3), (3, 4), (5, 4)])
 def test_enumerate_works_once_per_type_word_and_streams(monkeypatch, capsys, p, f):
-    # the weights of a type word share their carriers and congruences, so the
-    # basis proof (forward_sets) runs f+1 times per word, at its first weight
-    # with a unit in the shard, between weights; every carrier set comes from
-    # those proofs' carriers, with no other forward_sets call.  At p > 3 a word
-    # has several weights and builds each line prefix once per J, at most 2^f
+    # the weights of a rotation class of type words share their carriers and
+    # congruences up to the rotation, so the basis proof (forward_sets) runs
+    # f+1 times per class, on its least word, at the first weight of the class
+    # with a unit in the shard, between weights; every other word rotates that
+    # proof's carriers (matching.rotate_fold), with no other forward_sets call.
+    # Each word builds each line prefix once per J, at most 2^f
     for shard in [None, (1, 3), (6, 8), (5, 40)]:
         argv = ["enumerate", "--p", str(p), "--f", str(f)] + (["--shard", "%d/%d" % shard] if shard else [])
         assert proofs_seen(monkeypatch, capsys, *argv) == expected_proofs(p, f, shard)
-        builds = prefix_builds(monkeypatch, capsys, *argv)
-        assert builds == expected_builds(p, f, shard) and max(builds) <= 2**f
-        if shard is None:
-            assert builds == [2**f] * (len(expected_proofs(p, f, None)) // (f + 1))
+        if p > 3:
+            builds = prefix_builds(monkeypatch, capsys, *argv)
+            assert builds == expected_builds(p, f, shard) and max(builds) <= 2**f
+            if shard is None:
+                assert builds == [2**f] * len({tuple(min(ki, 3) for ki in w.k) for w in oracles.valid_weights(p, f)})
     if (p, f) == (5, 2):
-        # six weights: (1, 3), (1, 4), (1, 5) of word (1, 3), then (3, 1), (4, 1), (5, 1);
-        # shard 6/8 has units 6, 14 and 22, on the second, fourth and sixth weights
-        assert proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "2") == [((1, 3), 0)] * 3 + [((3, 1), 12)] * 3
+        # six weights: (1, 3), (1, 4), (1, 5) of word (1, 3), then (3, 1), (4, 1), (5, 1)
+        # of its rotation (3, 1); shard 6/8 has units 6, 14 and 22, on the second,
+        # fourth and sixth weights
+        assert proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "2") == [((1, 3), 0)] * 3
         seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "2", "--shard", "6/8")
-        assert seen == [((1, 4), 0)] * 3 + [((3, 1), 1)] * 3
+        assert seen == [((1, 3), 0)] * 3
+    if (p, f) == (5, 3):
+        # (1, 1, 3), (1, 2, 3) and (1, 3, 3) lead their classes: shard 6/8's first unit of
+        # (1, 2, 3)'s class is on (1, 2, 3), the fourth weight, after three lines
+        seen = proofs_seen(monkeypatch, capsys, "enumerate", "--p", "5", "--f", "3", "--shard", "6/8")
+        assert [k for k, _ in seen[::4]] == [(1, 1, 3), (1, 2, 3), (1, 3, 3)] and seen[4] == ((1, 2, 3), 3)
 
 
 def internal_error(*args, **kwargs):

@@ -15,7 +15,7 @@ from kisinweights.cli import _type_letter, _value_letter
 from kisinweights.field import Context
 from kisinweights.matching import companion_carriers, exceptional_audit, forward_sets
 from kisinweights.rankone import embedding_subsets, in_Pprime
-from kisinweights.weights import HTWeightTable, Weight, companion_sides, irregular_refusal, weight_classes
+from kisinweights.weights import HTWeightTable, Weight, companion_sides, irregular_refusal, weight_classes, weight_count
 from oracles import valid_weights
 
 LEMMA_SIZES = [(5, 3), (5, 4), (7, 3), (7, 4)]
@@ -67,6 +67,13 @@ def test_multiplicities_count_the_valid_weights(p, f):
         assert classes == classes_by_filter(p, f, classify), classify
         assert all(irregular_refusal(p, w.k) is None for w, _ in classes)
     assert list(weight_classes(p, f, _value_letter)) == [(w, 1) for w in valid_weights(p, f)]
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (3, 5), (5, 1), (5, 4), (5, 8), (7, 2), (7, 6), (11, 7), (5, 10)])
+def test_the_weight_count_is_the_sum_of_the_type_word_multiplicities(p, f):
+    # exceptional's weights is weight_count, tr(A^f) - tr(B^f) - 1, with no walk
+    assert weight_count(p, f) == sum(n for _, n in weight_classes(p, f, _type_letter, rotations=True))
+    assert cli.suite_exceptional(Context(p, f), None)["weights"] == weight_count(p, f)
 
 
 @pytest.mark.parametrize("p,f", LEMMA_SIZES)
@@ -152,8 +159,8 @@ def live_windows(p, f):
 def test_the_live_walk_is_the_filtered_walk(monkeypatch, p, f):
     # suite_exceptional walks with the windows at which some table's pair passes
     # in_Pprime's test; that walk is the unpruned one less every word with a dead
-    # window, wrap included, and it keeps every word with a table in Pprime.  Both
-    # of the suite's walks take one word per rotation class
+    # window, wrap included, and it keeps every word with a table in Pprime.  It is
+    # the suite's one walk (weights is a trace), and it takes one word per rotation class
     passed = []
     real = cli.weight_classes
     monkeypatch.setattr(cli, "weight_classes", lambda *args, **kwargs: passed.append((args[3:], kwargs)) or real(*args, **kwargs))
@@ -162,7 +169,7 @@ def test_the_live_walk_is_the_filtered_walk(monkeypatch, p, f):
     unpruned = list(weight_classes(p, f, classify))
     filtered = [(w, n) for w, n in unpruned if set(windows_of(w.k)) <= live]
     (windows,), options = passed[0]
-    assert options == passed[1][1] == {"rotations": True}
+    assert len(passed) == 1 and options == {"rotations": True}
     assert live == {window for w, _ in unpruned for window in windows_of(w.k)} & windows
     walked = list(weight_classes(p, f, classify, windows))
     assert walked == filtered != unpruned and (2, 2, 2) not in windows
